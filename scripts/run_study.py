@@ -46,7 +46,7 @@ def main() -> int:
 
     summary = run_batch(model, data, trials=args.trials, seed=args.seed,
                         threads=args.threads)
-    sweep = senate_sweep(model, data, trials=args.trials, seed=args.seed)
+    sweep = senate_sweep(summary.table)
     print()
     print(f"Simulated {summary.trials} elections (seed {args.seed}, "
           f"{summary.n_classified} classified)")

@@ -85,26 +85,21 @@ def cmd_simulate(args, parser) -> int:
     data = _load(args, parser)
     model = pc.fit_pca(data)
     summary = mc.run_batch(model, data, trials=args.trials, seed=args.seed,
-                           threads=args.threads, bin_width=args.bins,
-                           keep_records=True)
-    sweep = mc.senate_sweep(model, data, trials=args.trials, seed=args.seed,
-                            k_values=args.k_values)
+                           threads=args.threads, bin_width=args.bins)
+    sweep = mc.senate_sweep(summary.table, k_values=args.k_values)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "run_summary.json").write_text(summary.to_json() + "\n")
     (out_dir / "senate_sweep.json").write_text(
         json.dumps(sweep.to_dict(), sort_keys=True, indent=2) + "\n")
-    for kind, fname in (("scatter_HS", "scatter_hs.csv"),
-                        ("diff_histogram", "diff_histogram.csv"),
-                        ("california_scatter", "california_scatter.csv")):
-        header, rows = mc.emit_figure_data(summary.records, kind,
-                                           bin_width=args.bins)
-        _write_csv(out_dir / fname, header, rows)
+    outputs = [("scatter_HS", "scatter_hs.csv"),
+               ("diff_histogram", "diff_histogram.csv"),
+               ("california_scatter", "california_scatter.csv")]
     if args.emit_trials:
-        rows = _trial_rows(model, data, summary)
-        _write_csv(out_dir / "trials.csv",
-                   ["trial", "code", "dem_pop", "rep_pop", "H", "S", "diff",
-                    "california"], rows)
+        outputs.append(("trials", "trials.csv"))
+    for kind, fname in outputs:
+        header, rows = mc.emit_figure_data(summary.table, kind, bin_width=args.bins)
+        _write_csv(out_dir / fname, header, rows)
     print(f"trials={summary.trials} seed={summary.seed}")
     print(f"unpopular_full={summary.unpopular_full:.4f} "
           f"unpopular_house={summary.unpopular_house:.4f} "
@@ -112,23 +107,6 @@ def cmd_simulate(args, parser) -> int:
           f"dem_win_rate={summary.dem_win_rate:.4f}")
     print(f"outputs in {out_dir}")
     return 0
-
-
-def _trial_rows(model, data, summary):
-    import numpy as np
-
-    from .generator import draw_noise_batch, generate_shares_batch
-    rows = []
-    turnout = data.turnout.astype(float)
-    for r in summary.records:
-        z = draw_noise_batch(summary.seed, r.trial, 1, model.n_components)
-        clamped = np.clip(generate_shares_batch(model, z), 0.0, 1.0)[0]
-        dem_pop = float(clamped @ turnout)
-        rows.append((r.trial, r.code, repr(dem_pop),
-                     repr(float(turnout.sum()) - dem_pop),
-                     r.popular_winner_H, r.popular_winner_S,
-                     r.signed_electoral_diff, int(bool(r.carried_california))))
-    return rows
 
 
 def cmd_scenario(args, parser) -> int:
@@ -150,8 +128,12 @@ def cmd_scenario(args, parser) -> int:
 
 
 def cmd_report(args, parser) -> int:
-    with open(args.summary, encoding="utf-8") as f:
-        s = json.load(f)
+    try:
+        with open(args.summary, encoding="utf-8") as f:
+            s = json.load(f)
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot read {args.summary}: {exc}", file=sys.stderr)
+        return 1
     print(f"Simulated elections: {s['trials']} (seed {s['seed']}, "
           f"{s['n_classified']} classified)")
     print(f"Outcome codes (popular winner with full / house-only electors):")
@@ -178,8 +160,25 @@ def cmd_report(args, parser) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one stderr line and exit status 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _at_least(lo: int):
+    """argparse type: an integer >= lo."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="elections",
         description="Monte Carlo study of unpopular presidential elections")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -192,12 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a simulation batch and write outputs")
     _add_data_args(p)
-    p.add_argument("--trials", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--bins", type=int, default=mc.DEFAULT_BIN_WIDTH,
+    p.add_argument("--trials", type=_at_least(1), default=20000)
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--threads", type=_at_least(1), default=1)
+    p.add_argument("--bins", type=_at_least(1), default=mc.DEFAULT_BIN_WIDTH,
                    help="electoral-difference histogram bin width (default 20)")
-    p.add_argument("--k-values", type=int, nargs="+", default=[0, 2, 10, 100],
+    p.add_argument("--k-values", type=_at_least(0), nargs="+", default=[0, 2, 10, 100],
                    help="Senate elector counts for the sweep")
     p.add_argument("--out", default="results", help="output directory")
     p.add_argument("--emit-trials", action="store_true",

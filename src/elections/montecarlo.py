@@ -1,10 +1,13 @@
-"""Batches of simulated elections: classification and aggregation.
+"""Batches of simulated elections: one trial table and its reductions.
 
-Each trial is a pure function of (seed, trial_index), so trials can run in
-any order or in parallel; aggregation is an associative merge of integer
-counters, which makes serial and parallel runs bit-identical.  One noise
-stream drives every elector rule per trial (paired comparison), so
-rule-to-rule differences are not inflated by sampling noise.
+Each trial is a pure function of (seed, trial_index).  One kernel draws a
+contiguous chunk of trials once and returns per-trial columns; the chunks
+are concatenated in trial order into a TrialTable, so serial, threaded and
+any-chunk-size runs give the same table.  Every output (the summary
+counters, the Senate sweep, the figure data and the per-trial records) is
+a reduction over that one table, so every elector rule sees the same noise
+per trial (paired comparison) and rule-to-rule differences are not
+inflated by sampling noise.
 
 Outcome codes: first letter is the popular winner's result with House and
 Senate electors (W above 269 of 538), second letter with House electors
@@ -30,7 +33,7 @@ import numpy as np
 from .dataset import CALIFORNIA, ElectionDataset
 from .generator import draw_noise_batch, generate_shares_batch
 from .pca import PcaModel
-from .tally import DEM, REP, ElectorRule, TallyResult
+from .tally import DEM, REP, TallyResult
 
 CODES = ("WW", "WL", "LW", "LL")
 
@@ -47,7 +50,7 @@ class ExactPopularTie(MonteCarloError):
 
 
 class EmptyInput(MonteCarloError):
-    """Figure emission requested from an empty record stream."""
+    """Figure emission requested from a table with no classified trial."""
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,10 @@ class OutcomeRecord:
 
 
 def classify(tally: TallyResult, trial: int = 0) -> OutcomeRecord:
-    """Assign the two-letter outcome code to one tallied election."""
+    """Assign the two-letter outcome code to one tallied election.
+
+    The scalar reference that the trial table's records are tested against.
+    """
     if tally.dem_pop == tally.rep_pop:
         raise ExactPopularTie(f"popular vote tied at {tally.dem_pop}")
     pw = DEM if tally.dem_pop > tally.rep_pop else REP
@@ -102,41 +108,88 @@ def classify(tally: TallyResult, trial: int = 0) -> OutcomeRecord:
     )
 
 
-@dataclass
-class BatchAccumulator:
-    """Associatively mergeable partial summary of a trial range."""
+@dataclass(frozen=True)
+class TrialTable:
+    """Per-trial columns of trials 0..trials-1 of one seed, in trial order.
 
-    trials: int = 0
-    counts: dict = field(default_factory=lambda: {c: 0 for c in CODES})
-    tied_state: int = 0
-    tied_popular: int = 0
-    full_splits: int = 0
-    house_splits: int = 0
-    dem_full_wins: int = 0
-    states_won_unpopular: int = 0
-    hist: dict = field(default_factory=dict)       # bin lower edge -> count
-    crosstab: dict = field(default_factory=lambda: {
-        p: {"carried": 0, "missed": 0} for p in (DEM, REP)})
-    records: list | None = None
+    pw_* columns belong to the popular winner.  Rows flagged tied_state or
+    tied_popular are degenerate and enter no reduction.
+    """
 
-    def merge(self, other: "BatchAccumulator") -> "BatchAccumulator":
-        out = BatchAccumulator()
-        out.trials = self.trials + other.trials
-        out.counts = {c: self.counts[c] + other.counts[c] for c in CODES}
-        out.tied_state = self.tied_state + other.tied_state
-        out.tied_popular = self.tied_popular + other.tied_popular
-        out.full_splits = self.full_splits + other.full_splits
-        out.house_splits = self.house_splits + other.house_splits
-        out.dem_full_wins = self.dem_full_wins + other.dem_full_wins
-        out.states_won_unpopular = self.states_won_unpopular + other.states_won_unpopular
-        out.hist = dict(self.hist)
-        for lo, c in other.hist.items():
-            out.hist[lo] = out.hist.get(lo, 0) + c
-        out.crosstab = {p: {k: self.crosstab[p][k] + other.crosstab[p][k]
-                            for k in ("carried", "missed")} for p in (DEM, REP)}
-        if self.records is not None or other.records is not None:
-            out.records = list(self.records or []) + list(other.records or [])
-        return out
+    seed: int
+    house_total: int
+    n_states: int
+    senate_per_state: int
+    total_pop: float
+    tied_state: np.ndarray       # bool: some state's share is exactly 0.5
+    tied_popular: np.ndarray     # bool: popular vote split exactly, no state tie
+    pw_dem: np.ndarray           # bool: the Democrat won the popular vote
+    pw_house: np.ndarray
+    pw_states: np.ndarray
+    carried_ca: np.ndarray       # bool
+    dem_pop: np.ndarray          # float
+
+    @property
+    def trials(self) -> int:
+        return len(self.dem_pop)
+
+    @property
+    def ok(self) -> np.ndarray:
+        return ~(self.tied_state | self.tied_popular)
+
+    def margin(self, k: int | None) -> np.ndarray:
+        """Popular winner's electors minus the rest in the pool House + k per
+        state carried; k=None is the k -> infinity limit, where only states
+        carried count.  The popular winner wins the pool iff margin > 0."""
+        if k is None:
+            return 2 * self.pw_states - self.n_states
+        return (2 * (self.pw_house + k * self.pw_states)
+                - self.house_total - k * self.n_states)
+
+    def codes(self) -> np.ndarray:
+        """Index into CODES per trial: 0=WW 1=WL 2=LW 3=LL."""
+        return 2 * (self.margin(self.senate_per_state) <= 0) + (self.margin(0) <= 0)
+
+    def diffs(self) -> np.ndarray:
+        """Democratic full electors minus Republican, per trial."""
+        full = self.margin(self.senate_per_state)
+        return np.where(self.pw_dem, full, -full)
+
+
+def trial_columns(model: PcaModel, dataset: ElectionDataset,
+                  seed: int, start: int, count: int) -> dict:
+    """TrialTable columns for trials start..start+count-1, each drawn once."""
+    z = draw_noise_batch(seed, start, count, model.n_components)
+    clamped = np.clip(generate_shares_batch(model, z), 0.0, 1.0)
+    turnout = dataset.turnout.astype(float)
+    # a row-wise sum, unlike a matrix-vector product, gives every row the
+    # same bits wherever it sits in the chunk
+    dem_pop = (clamped * turnout).sum(axis=1)
+    total_pop = turnout.sum()
+    tied_state = np.any(clamped == 0.5, axis=1)
+    pw_dem = dem_pop * 2 > total_pop
+    win = clamped > 0.5
+    house_d = win @ dataset.house_electors
+    states_d = win.sum(axis=1)
+    return {
+        "tied_state": tied_state,
+        "tied_popular": (dem_pop * 2 == total_pop) & ~tied_state,
+        "pw_dem": pw_dem,
+        "pw_house": np.where(pw_dem, house_d, dataset.house_electors.sum() - house_d),
+        "pw_states": np.where(pw_dem, states_d, len(dataset.house_electors) - states_d),
+        "carried_ca": win[:, CALIFORNIA] == pw_dem,
+        "dem_pop": dem_pop,
+    }
+
+
+def histogram(values: np.ndarray, bin_width: int) -> list:
+    """[lo, lo + bin_width, count] rows for the occupied bins, in order."""
+    los, counts = np.unique(bin_width * (values // bin_width), return_counts=True)
+    return [[lo, lo + bin_width, c] for lo, c in zip(los.tolist(), counts.tolist())]
+
+
+def _rate(count: int, n: int) -> float:
+    return count / n if n else 0.0
 
 
 @dataclass(frozen=True)
@@ -159,6 +212,7 @@ class RunSummary:
     exact_full_splits: int = 0
     exact_house_splits: int = 0
     records: tuple | None = field(default=None, repr=False, compare=False)
+    table: TrialTable | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -183,145 +237,72 @@ class RunSummary:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _trial_arrays(model: PcaModel, dataset: ElectionDataset,
-                  seed: int, start: int, count: int) -> dict:
-    """Vectorized per-trial quantities for trials start..start+count-1."""
-    z = draw_noise_batch(seed, start, count, model.n_components)
-    clamped = np.clip(generate_shares_batch(model, z), 0.0, 1.0)
-    turnout = dataset.turnout.astype(float)
-    total_pop = turnout.sum()
-    dem_pop = clamped @ turnout
-    win = clamped > 0.5
-    house_d = win @ dataset.house_electors
-    states_d = win.sum(axis=1)
-    return {
-        "tied_state": np.any(clamped == 0.5, axis=1),
-        "dem_pop": dem_pop,
-        "pop_tie": dem_pop * 2 == total_pop,
-        "pw_dem": dem_pop * 2 > total_pop,
-        "house_d": house_d,
-        "states_d": states_d,
-        "carried_ca": win[:, CALIFORNIA],
-    }
+def summarize(table: TrialTable, bin_width: int = DEFAULT_BIN_WIDTH,
+              keep_records: bool = False) -> RunSummary:
+    """Counters and frequencies over the classified trials of a table."""
+    ok = table.ok
+    n = int(ok.sum())
 
+    def count(mask) -> int:
+        return int((mask & ok).sum())
 
-def partial_batch(model: PcaModel, dataset: ElectionDataset, seed: int,
-                  start: int, count: int, bin_width: int = DEFAULT_BIN_WIDTH,
-                  keep_records: bool = False) -> BatchAccumulator:
-    """Summarize one contiguous trial range."""
-    a = _trial_arrays(model, dataset, seed, start, count)
-    house_total = int(dataset.house_electors.sum())
-    n_states = len(dataset.house_electors)
-    full_total = house_total + dataset.senate_electors_base * n_states
-
-    acc = BatchAccumulator(trials=count)
-    acc.tied_state = int(a["tied_state"].sum())
-    degenerate = a["tied_state"]
-    acc.tied_popular = int((a["pop_tie"] & ~degenerate).sum())
-    degenerate = degenerate | a["pop_tie"]
-    ok = ~degenerate
-
-    house_d = a["house_d"]
-    states_d = a["states_d"]
-    full_d = house_d + dataset.senate_electors_base * states_d
-    pw_dem = a["pw_dem"]
-    pw_house = np.where(pw_dem, house_d, house_total - house_d)
-    pw_full = np.where(pw_dem, full_d, full_total - full_d)
-    pw_states = np.where(pw_dem, states_d, n_states - states_d)
-
-    # exact splits count as L for either letter; tracked separately
-    win_full = 2 * pw_full > full_total
-    win_house = 2 * pw_house > house_total
-    acc.full_splits = int(((2 * pw_full == full_total) & ok).sum())
-    acc.house_splits = int(((2 * pw_house == house_total) & ok).sum())
-
-    # 0=WW 1=WL 2=LW 3=LL
-    codes = 2 * (~win_full).astype(int) + (~win_house).astype(int)
-    code_names = np.array(CODES)[codes]
-    for i, name in enumerate(CODES):
-        acc.counts[name] = int(((codes == i) & ok).sum())
-
-    acc.dem_full_wins = int(((2 * full_d > full_total) & ok).sum())
-    acc.states_won_unpopular = int(((2 * pw_states < n_states) & ok).sum())
-
-    diffs = 2 * full_d - full_total
-    unpop = ok & ((codes == 2) | (codes == 3))
-    for d in diffs[unpop]:
-        lo = int(bin_width * np.floor(d / bin_width))
-        acc.hist[lo] = acc.hist.get(lo, 0) + 1
-
-    pw_carried_ca = np.where(pw_dem, a["carried_ca"], ~a["carried_ca"])
-    for party, is_party in ((DEM, pw_dem), (REP, ~pw_dem)):
-        acc.crosstab[party]["carried"] = int((ok & is_party & pw_carried_ca).sum())
-        acc.crosstab[party]["missed"] = int((ok & is_party & ~pw_carried_ca).sum())
-
-    if keep_records:
-        acc.records = []
-        dem_full_win = 2 * full_d > full_total
-        dem_full_lose = 2 * full_d < full_total
-        for i in np.nonzero(ok)[0]:
-            winner_full = DEM if dem_full_win[i] else REP if dem_full_lose[i] else None
-            acc.records.append(OutcomeRecord(
-                trial=start + int(i),
-                code=str(code_names[i]),
-                popular_winner=DEM if pw_dem[i] else REP,
-                electoral_winner_full=winner_full,
-                signed_electoral_diff=int(diffs[i]),
-                popular_winner_H=int(pw_house[i]),
-                popular_winner_S=int(dataset.senate_electors_base * pw_states[i]),
-                carried_california=bool(pw_carried_ca[i]),
-            ))
-    return acc
-
-
-def finalize(acc: BatchAccumulator, seed: int,
-             bin_width: int = DEFAULT_BIN_WIDTH) -> RunSummary:
-    """Turn merged integer counters into reported frequencies."""
-    n = sum(acc.counts.values())
-    freq = {c: (acc.counts[c] / n if n else 0.0) for c in CODES}
-    bins = [[lo, lo + bin_width, acc.hist[lo]] for lo in sorted(acc.hist)]
+    codes = table.codes()
+    counts = {name: count(codes == i) for i, name in enumerate(CODES)}
     return RunSummary(
-        trials=acc.trials,
-        seed=seed,
+        trials=table.trials,
+        seed=table.seed,
         n_classified=n,
-        counts=dict(acc.counts),
-        freq=freq,
-        unpopular_full=(acc.counts["LW"] + acc.counts["LL"]) / n if n else 0.0,
-        unpopular_house=(acc.counts["WL"] + acc.counts["LL"]) / n if n else 0.0,
-        dem_win_rate=acc.dem_full_wins / n if n else 0.0,
-        states_won_unpopular=acc.states_won_unpopular / n if n else 0.0,
-        diff_histogram=bins,
+        counts=counts,
+        freq={c: _rate(counts[c], n) for c in CODES},
+        unpopular_full=_rate(counts["LW"] + counts["LL"], n),
+        unpopular_house=_rate(counts["WL"] + counts["LL"], n),
+        dem_win_rate=_rate(count(table.diffs() > 0), n),
+        states_won_unpopular=_rate(count(table.margin(None) <= 0), n),
+        diff_histogram=histogram(table.diffs()[ok & (codes >= 2)], bin_width),
         bin_width=bin_width,
-        california_crosstab={p: dict(acc.crosstab[p]) for p in (DEM, REP)},
-        degenerate={"tied_state": acc.tied_state, "tied_popular": acc.tied_popular},
-        exact_full_splits=acc.full_splits,
-        exact_house_splits=acc.house_splits,
-        records=tuple(acc.records) if acc.records is not None else None,
+        california_crosstab={
+            party: {"carried": count(is_party & table.carried_ca),
+                    "missed": count(is_party & ~table.carried_ca)}
+            for party, is_party in ((DEM, table.pw_dem), (REP, ~table.pw_dem))},
+        degenerate={"tied_state": int(table.tied_state.sum()),
+                    "tied_popular": int(table.tied_popular.sum())},
+        exact_full_splits=count(table.margin(table.senate_per_state) == 0),
+        exact_house_splits=count(table.margin(0) == 0),
+        records=_records(table) if keep_records else None,
+        table=table,
     )
 
 
 def run_batch(model: PcaModel, dataset: ElectionDataset, trials: int, seed: int,
               threads: int = 1, bin_width: int = DEFAULT_BIN_WIDTH,
               keep_records: bool = False, chunk_size: int = _CHUNK) -> RunSummary:
-    """Simulate, tally, and classify `trials` elections."""
+    """Simulate, tally, and classify `trials` elections, drawing each once.
+
+    The summary carries the trial table for the sweep and the figure data.
+    """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    starts = list(range(0, trials, chunk_size))
+    if bin_width < 1:
+        raise ValueError(f"bin_width must be >= 1, got {bin_width}")
+    starts = range(0, trials, chunk_size)
 
     def work(start):
-        return partial_batch(model, dataset, seed, start,
-                             min(chunk_size, trials - start),
-                             bin_width=bin_width, keep_records=keep_records)
+        return trial_columns(model, dataset, seed, start,
+                             min(chunk_size, trials - start))
 
     if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(work, starts))
     else:
         parts = [work(s) for s in starts]
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = acc.merge(p)
-    return finalize(acc, seed, bin_width)
+    table = TrialTable(
+        seed=seed,
+        house_total=int(dataset.house_electors.sum()),
+        n_states=len(dataset.house_electors),
+        senate_per_state=dataset.senate_electors_base,
+        total_pop=float(dataset.turnout.astype(float).sum()),
+        **{name: np.concatenate([p[name] for p in parts]) for name in parts[0]})
+    return summarize(table, bin_width, keep_records)
 
 
 @dataclass(frozen=True)
@@ -339,66 +320,73 @@ class SweepResult:
                 "states_won_limit": self.states_won_limit}
 
 
-def senate_sweep(model: PcaModel, dataset: ElectionDataset, trials: int,
-                 seed: int, k_values=(0, 2, 10, 100)) -> SweepResult:
-    """Unpopular frequency under SENATE_K for each k, on one shared trial stream.
+def senate_sweep(table: TrialTable, k_values=(0, 2, 10, 100)) -> SweepResult:
+    """Unpopular frequency under the House + k per state rule for each k.
 
     A trial is unpopular when the popular winner fails to win a strict
-    majority of the k-rule elector pool, so an exact split counts.  Hence
-    by_k[0] equals unpopular_house and by_k[2] equals unpopular_full,
-    exactly, on the same seed and trial count.
+    majority of the pool, so an exact split counts.  Hence by_k[0] equals
+    unpopular_house and by_k[2] equals unpopular_full of the same table.
     """
     if any(k < 0 for k in k_values):
         raise ValueError("all k must be >= 0")
-    house_total = int(dataset.house_electors.sum())
-    n_states = len(dataset.house_electors)
-
-    pw_house_parts, pw_states_parts, ok_parts = [], [], []
-    for start in range(0, trials, _CHUNK):
-        count = min(_CHUNK, trials - start)
-        a = _trial_arrays(model, dataset, seed, start, count)
-        ok = ~(a["tied_state"] | a["pop_tie"])
-        pw_house_parts.append(np.where(a["pw_dem"], a["house_d"],
-                                       house_total - a["house_d"]))
-        pw_states_parts.append(np.where(a["pw_dem"], a["states_d"],
-                                        n_states - a["states_d"]))
-        ok_parts.append(ok)
-    pw_house = np.concatenate(pw_house_parts)
-    pw_states = np.concatenate(pw_states_parts)
-    ok = np.concatenate(ok_parts)
+    ok = table.ok
     n = int(ok.sum())
-
-    by_k = {}
-    for k in k_values:
-        pool = house_total + k * n_states
-        pw_total = pw_house + k * pw_states
-        by_k[int(k)] = int((ok & (2 * pw_total <= pool)).sum()) / n
-    limit = int((ok & (2 * pw_states < n_states)).sum()) / n
-    return SweepResult(trials=trials, seed=seed, by_k=by_k, states_won_limit=limit)
+    by_k = {int(k): _rate(int((ok & (table.margin(k) <= 0)).sum()), n)
+            for k in k_values}
+    limit = _rate(int((ok & (table.margin(None) <= 0)).sum()), n)
+    return SweepResult(trials=table.trials, seed=table.seed, by_k=by_k,
+                       states_won_limit=limit)
 
 
-def emit_figure_data(records, which: str, bin_width: int = DEFAULT_BIN_WIDTH):
-    """Tabular data behind the scatter/histogram figures.
+def _classified(table: TrialTable) -> dict:
+    """Columns of the classified trials, in trial order, as Python lists."""
+    ok = table.ok
+    return {
+        "trial": np.flatnonzero(ok).tolist(),
+        "code": np.array(CODES)[table.codes()[ok]].tolist(),
+        "popular_winner": np.where(table.pw_dem[ok], DEM, REP).tolist(),
+        "diff": table.diffs()[ok].tolist(),
+        "H": table.pw_house[ok].tolist(),
+        "S": (table.senate_per_state * table.pw_states[ok]).tolist(),
+        "california": table.carried_ca[ok].astype(int).tolist(),
+        "dem_pop": table.dem_pop[ok].tolist(),
+        "rep_pop": (table.total_pop - table.dem_pop[ok]).tolist(),
+    }
 
-    Returns (header, rows).  `which` is one of scatter_HS, diff_histogram,
-    california_scatter.
+
+def _records(table: TrialTable) -> tuple:
+    """OutcomeRecord view of the classified trials."""
+    c = _classified(table)
+    return tuple(
+        OutcomeRecord(trial=t, code=code, popular_winner=pw,
+                      electoral_winner_full=DEM if d > 0 else REP if d < 0 else None,
+                      signed_electoral_diff=d, popular_winner_H=h,
+                      popular_winner_S=s, carried_california=bool(ca))
+        for t, code, pw, d, h, s, ca in zip(
+            c["trial"], c["code"], c["popular_winner"], c["diff"], c["H"],
+            c["S"], c["california"]))
+
+
+def emit_figure_data(table: TrialTable, which: str,
+                     bin_width: int = DEFAULT_BIN_WIDTH):
+    """Tabular data behind the figures and the per-trial records.
+
+    Returns (header, rows) over the classified trials.  `which` is one of
+    scatter_HS, diff_histogram, california_scatter, trials.
     """
-    records = list(records or [])
-    if not records:
-        raise EmptyInput("no records to emit")
-    if which == "scatter_HS":
-        return (["H", "S", "code"],
-                [(r.popular_winner_H, r.popular_winner_S, r.code) for r in records])
+    if not table.ok.any():
+        raise EmptyInput("no classified trials to emit")
     if which == "diff_histogram":
-        hist: dict[int, int] = {}
-        for r in records:
-            if r.code in ("LW", "LL"):
-                lo = int(bin_width * np.floor(r.signed_electoral_diff / bin_width))
-                hist[lo] = hist.get(lo, 0) + 1
+        unpopular = table.ok & (table.codes() >= 2)
         return (["bin_lo", "bin_hi", "count"],
-                [(lo, lo + bin_width, hist[lo]) for lo in sorted(hist)])
+                histogram(table.diffs()[unpopular], bin_width))
+    c = _classified(table)
+    if which == "scatter_HS":
+        return ["H", "S", "code"], list(zip(c["H"], c["S"], c["code"]))
     if which == "california_scatter":
         return (["H", "S", "popular_winner", "carried_california"],
-                [(r.popular_winner_H, r.popular_winner_S, r.popular_winner,
-                  int(bool(r.carried_california))) for r in records])
+                list(zip(c["H"], c["S"], c["popular_winner"], c["california"])))
+    if which == "trials":
+        header = ["trial", "code", "dem_pop", "rep_pop", "H", "S", "diff", "california"]
+        return header, list(zip(*(c[name] for name in header)))
     raise ValueError(f"unknown figure kind {which!r}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tally import ElectorRule, TallyResult, electoral_totals
+from .tally import FULL, HOUSE_ONLY, TallyResult, electoral_totals
 
 TOY_TURNOUT = np.array([300, 100, 100])
 TOY_HOUSE = np.array([3, 1, 1])
@@ -44,8 +44,8 @@ class ScenarioResult:
 def run_scenario(code: str) -> ScenarioResult:
     shares = np.array(SCENARIO_SHARES[code])
     tally = electoral_totals(shares, TOY_TURNOUT, TOY_HOUSE)
-    full_a, full_b = tally.totals(ElectorRule.full())
-    house_a, house_b = tally.totals(ElectorRule.house_only())
+    full_a, full_b = tally.totals(FULL)
+    house_a, house_b = tally.totals(HOUSE_ONLY)
     return ScenarioResult(code=code, shares=tuple(shares), tally=tally,
                           full_a=full_a, full_b=full_b,
                           house_a=house_a, house_b=house_b)

@@ -27,33 +27,23 @@ class TiedState(TallyError):
 
 @dataclass(frozen=True)
 class ElectorRule:
-    """Which elector-allocation variant is in force.
+    """The elector pool House + k electors per state carried.
 
-    kind is one of "full", "house_only", "senate_k", "states_won"; k is the
-    per-state Senate elector count and is only meaningful for senate_k
-    (full is senate_k with k=2, house_only is senate_k with k=0).
+    k=2 is the full college (FULL) and k=0 House electors alone
+    (HOUSE_ONLY).  k=None is the k -> infinity limit (STATES_WON), in which
+    the candidate carrying most states wins, so its totals count states.
     """
 
-    kind: str
-    k: int = 0
+    k: int | None
 
-    @classmethod
-    def full(cls) -> "ElectorRule":
-        return cls("full", 2)
+    def __post_init__(self):
+        if self.k is not None and self.k < 0:
+            raise ValueError(f"k must be >= 0, got {self.k}")
 
-    @classmethod
-    def house_only(cls) -> "ElectorRule":
-        return cls("house_only", 0)
 
-    @classmethod
-    def senate_k(cls, k: int) -> "ElectorRule":
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        return cls("senate_k", k)
-
-    @classmethod
-    def states_won(cls) -> "ElectorRule":
-        return cls("states_won", 0)
+FULL = ElectorRule(2)
+HOUSE_ONLY = ElectorRule(0)
+STATES_WON = ElectorRule(None)
 
 
 @dataclass(frozen=True)
@@ -72,10 +62,10 @@ class TallyResult:
 
     def totals(self, rule: ElectorRule) -> tuple[int, int]:
         """(dem, rep) elector or state totals under the given rule."""
-        if rule.kind == "states_won":
+        if rule.k is None:
             return self.dem_states, self.rep_states
-        k = 2 if rule.kind == "full" else 0 if rule.kind == "house_only" else rule.k
-        return self.dem_house + k * self.dem_states, self.rep_house + k * self.rep_states
+        return (self.dem_house + rule.k * self.dem_states,
+                self.rep_house + rule.k * self.rep_states)
 
     def winner(self, rule: ElectorRule) -> str | None:
         """DEM/REP for a strict majority of the pool, None on an exact split."""
@@ -105,12 +95,8 @@ def popular_totals(clamped: np.ndarray, turnout: np.ndarray) -> tuple[float, flo
 
 
 def electoral_totals(clamped, turnout, house_electors,
-                     rule: ElectorRule = ElectorRule.full(),
                      senate_per_state: int = 2) -> TallyResult:
-    """Tally one share vector; the rule argument is validated but all counts
-    are populated so the same result answers any rule via TallyResult.totals."""
-    if rule.kind not in ("full", "house_only", "senate_k", "states_won"):
-        raise ValueError(f"unknown rule kind {rule.kind!r}")
+    """Tally one share vector; the result answers any rule via TallyResult.totals."""
     clamped = np.asarray(clamped, dtype=float)
     house = np.asarray(house_electors, dtype=np.int64)
     dem_won = state_winners(clamped)

@@ -19,9 +19,8 @@ def summary_20k(model, dataset):
 
 
 @pytest.fixture(scope="session")
-def sweep_20k(model, dataset):
-    return senate_sweep(model, dataset, trials=20000, seed=0,
-                        k_values=(0, 2, 10, 100))
+def sweep_20k(summary_20k):
+    return senate_sweep(summary_20k.table, k_values=(0, 2, 10, 100))
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -96,14 +96,32 @@ def test_simulate_outputs_and_determinism(tmp_path, capsys):
 
 
 def test_simulate_threads_match_serial(tmp_path, capsys):
-    out1 = tmp_path / "serial"
-    out2 = tmp_path / "parallel"
-    assert run(["simulate", "--trials", "9000", "--seed", "2",
-                "--out", str(out1)], capsys)[0] == 0
-    assert run(["simulate", "--trials", "9000", "--seed", "2", "--threads", "4",
-                "--out", str(out2)], capsys)[0] == 0
-    assert ((out1 / "run_summary.json").read_bytes()
-            == (out2 / "run_summary.json").read_bytes())
+    outputs = {}
+    for threads in ("1", "2", "4"):
+        out = tmp_path / threads
+        assert run(["simulate", "--trials", "9000", "--seed", "2", "--threads",
+                    threads, "--out", str(out), "--emit-trials"], capsys)[0] == 0
+        outputs[threads] = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert len(outputs["1"]) == 6  # the five figure/summary files and trials.csv
+    assert outputs["1"] == outputs["2"] == outputs["4"]
+
+
+def test_simulate_draws_each_trial_once(tmp_path, capsys, monkeypatch):
+    from elections import generator, montecarlo
+
+    drawn = []
+    original = generator.draw_noise_batch
+
+    def counting(*args, **kwargs):
+        z = original(*args, **kwargs)
+        drawn.append(len(z))
+        return z
+
+    for module in (generator, montecarlo):
+        monkeypatch.setattr(module, "draw_noise_batch", counting)
+    assert run(["simulate", "--trials", "5000", "--out", str(tmp_path),
+                "--emit-trials"], capsys)[0] == 0
+    assert sum(drawn) == 5000
 
 
 def test_simulate_emit_trials(tmp_path, capsys):
@@ -129,6 +147,33 @@ def test_report_command(tmp_path, capsys):
     assert "Simulated elections: 500" in out
     assert "Unpopular, full electoral college" in out
     assert "California effect" in out
+
+
+@pytest.mark.parametrize("args", [
+    ["--trials", "0"], ["--seed", "-1"], ["--k-values", "0", "-1"],
+    ["--bins", "0"], ["--bins", "-5"], ["--threads", "-3"], ["--trials", "x"],
+], ids=["trials=0", "seed=-1", "k-values=-1", "bins=0", "bins=-5", "threads=-3",
+        "trials=x"])
+def test_simulate_usage_errors(tmp_path, capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--trials", "5000", "--out", str(tmp_path / "r"), *args])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and args[0] in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("content", [None, "{not json", b"\xff\xfe"],
+                         ids=["missing", "not-json", "not-utf8"])
+def test_report_unreadable(tmp_path, capsys, content):
+    path = tmp_path / "summary.json"
+    if isinstance(content, str):
+        path.write_text(content)
+    elif content is not None:
+        path.write_bytes(content)
+    code, out, err = run(["report", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and str(path) in err
 
 
 def test_bad_structure_file(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,16 @@ def make_tally(dem_house, dem_states, dem_pop=6.0e7, rep_pop=5.9e7,
         dem_states=dem_states, rep_states=n_states - dem_states,
         carried=carried,
     )
+
+
+def make_table(n, **columns):
+    """Hand-built TrialTable of n identical WW trials, overridden by columns."""
+    base = dict(seed=0, house_total=436, n_states=51, senate_per_state=2,
+                total_pop=1.2e8, tied_state=np.zeros(n, bool),
+                tied_popular=np.zeros(n, bool), pw_dem=np.ones(n, bool),
+                pw_house=np.full(n, 300), pw_states=np.full(n, 30),
+                carried_ca=np.ones(n, bool), dem_pop=np.full(n, 6.1e7))
+    return mc.TrialTable(**{**base, **columns})
 
 
 def test_classify_scenarios():
@@ -93,15 +105,14 @@ def test_records_match_per_trial_pipeline(model, dataset, summary_20k):
         assert mc.classify(t, trial=trial) == by_trial[trial]
 
 
-def test_merge_associativity(model, dataset):
-    whole = mc.partial_batch(model, dataset, seed=3, start=0, count=3000)
-    a = mc.partial_batch(model, dataset, seed=3, start=0, count=1000)
-    b = mc.partial_batch(model, dataset, seed=3, start=1000, count=1500)
-    c = mc.partial_batch(model, dataset, seed=3, start=2500, count=500)
-    left = a.merge(b).merge(c)
-    right = a.merge(b.merge(c))
-    for merged in (left, right):
-        assert mc.finalize(merged, seed=3) == mc.finalize(whole, seed=3)
+def test_table_chunk_invariance(model, dataset):
+    # chunks of >= 2 rows only: a 1-row chunk may take numpy's matrix-vector
+    # path in generate_shares_batch, whose last bit may differ
+    # (see test_batch_generation_matches_single)
+    a = mc.run_batch(model, dataset, trials=5000, seed=3, chunk_size=4096).table
+    b = mc.run_batch(model, dataset, trials=5000, seed=3, chunk_size=777).table
+    for f in dataclasses.fields(mc.TrialTable):
+        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
 
 
 def test_serial_parallel_bit_identical(model, dataset):
@@ -130,14 +141,30 @@ def test_sweep_values_sane(sweep_20k):
     assert 0.03 <= sweep_20k.states_won_limit <= 0.09
 
 
-def test_sweep_rejects_negative_k(model, dataset):
+def test_sweep_rejects_negative_k(summary_20k):
     with pytest.raises(ValueError):
-        mc.senate_sweep(model, dataset, trials=10, seed=0, k_values=(-1,))
+        mc.senate_sweep(summary_20k.table, k_values=(-1,))
 
 
 def test_run_batch_rejects_zero_trials(model, dataset):
     with pytest.raises(ValueError):
         mc.run_batch(model, dataset, trials=0, seed=0)
+    with pytest.raises(ValueError):
+        mc.run_batch(model, dataset, trials=10, seed=0, bin_width=0)
+
+
+def test_all_degenerate_table_reductions():
+    table = make_table(3, tied_state=np.array([True, True, False]),
+                       tied_popular=np.array([False, False, True]))
+    s = mc.summarize(table)
+    assert s.trials == 3 and s.n_classified == 0
+    assert s.degenerate == {"tied_state": 2, "tied_popular": 1}
+    assert set(s.freq.values()) == {0.0}
+    assert (s.unpopular_full, s.unpopular_house, s.dem_win_rate,
+            s.states_won_unpopular) == (0.0, 0.0, 0.0, 0.0)
+    assert s.diff_histogram == []
+    sw = mc.senate_sweep(table)
+    assert set(sw.by_k.values()) == {0.0} and sw.states_won_limit == 0.0
 
 
 def test_summary_json_round_trip(summary_20k):
@@ -150,27 +177,35 @@ def test_summary_json_round_trip(summary_20k):
 
 
 def test_emit_figure_data(summary_20k):
-    header, rows = mc.emit_figure_data(summary_20k.records, "scatter_HS")
+    table = summary_20k.table
+    header, rows = mc.emit_figure_data(table, "scatter_HS")
     assert header == ["H", "S", "code"]
     assert len(rows) == summary_20k.n_classified
-    header, rows = mc.emit_figure_data(summary_20k.records, "diff_histogram")
+    header, rows = mc.emit_figure_data(table, "diff_histogram")
+    assert [list(r) for r in rows] == summary_20k.diff_histogram
     assert sum(r[2] for r in rows) == (summary_20k.counts["LW"]
                                        + summary_20k.counts["LL"])
-    header, rows = mc.emit_figure_data(summary_20k.records, "california_scatter")
+    header, rows = mc.emit_figure_data(table, "california_scatter")
     assert len(rows) == summary_20k.n_classified
+    header, rows = mc.emit_figure_data(table, "trials")
+    by_trial = {r.trial: r for r in summary_20k.records}
+    for trial, code, dem_pop, rep_pop, h, s, diff, ca in rows:
+        rec = by_trial[trial]
+        assert (code, h, s, diff, ca) == (
+            rec.code, rec.popular_winner_H, rec.popular_winner_S,
+            rec.signed_electoral_diff, int(rec.carried_california))
+        assert (dem_pop > rep_pop) == (rec.popular_winner == DEM)
 
 
 def test_emit_figure_data_errors(summary_20k):
     with pytest.raises(mc.EmptyInput):
-        mc.emit_figure_data([], "scatter_HS")
+        mc.emit_figure_data(make_table(1, tied_state=np.ones(1, bool)), "scatter_HS")
     with pytest.raises(ValueError):
-        mc.emit_figure_data(summary_20k.records, "pie_chart")
+        mc.emit_figure_data(summary_20k.table, "pie_chart")
 
 
 def test_emit_histogram_empty_when_all_ww():
-    rec = mc.OutcomeRecord(trial=0, code="WW", popular_winner=DEM,
-                           electoral_winner_full=DEM, signed_electoral_diff=100,
-                           popular_winner_H=300, popular_winner_S=60,
-                           carried_california=True)
-    header, rows = mc.emit_figure_data([rec], "diff_histogram")
+    table = make_table(1)
+    assert mc.CODES[table.codes()[0]] == "WW"
+    header, rows = mc.emit_figure_data(table, "diff_histogram")
     assert rows == []
