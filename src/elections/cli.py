@@ -16,6 +16,7 @@ from pathlib import Path
 from . import dataset as ds
 from . import montecarlo as mc
 from . import pca as pc
+from .generator import SEED_LIMIT
 from .scenarios import format_scenarios, run_all_scenarios
 
 VALID_START_YEARS = tuple(range(1964, 2008, 4))
@@ -47,13 +48,6 @@ def _add_data_args(sub):
     sub.add_argument("--start-year", type=int, default=1964,
                      choices=VALID_START_YEARS, metavar="YEAR",
                      help="first election year to include (default 1964)")
-
-
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def cmd_pca(args, parser) -> int:
@@ -99,7 +93,10 @@ def cmd_simulate(args, parser) -> int:
         outputs.append(("trials", "trials.csv"))
     for kind, fname in outputs:
         header, rows = mc.emit_figure_data(summary.table, kind, bin_width=args.bins)
-        _write_csv(out_dir / fname, header, rows)
+        with open(out_dir / fname, "w", newline="", encoding="utf-8") as f:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
     print(f"trials={summary.trials} seed={summary.seed}")
     print(f"unpopular_full={summary.unpopular_full:.4f} "
           f"unpopular_house={summary.unpopular_house:.4f} "
@@ -127,36 +124,41 @@ def cmd_scenario(args, parser) -> int:
     return 0
 
 
+REPORT = """\
+Simulated elections: {trials} (seed {seed}, {n_classified} classified)
+Outcome codes (popular winner with full / house-only electors):
+  WW        {counts[WW]:7d}  ({freq[WW]:.4f})
+  WL        {counts[WL]:7d}  ({freq[WL]:.4f})
+  LW        {counts[LW]:7d}  ({freq[LW]:.4f})
+  LL        {counts[LL]:7d}  ({freq[LL]:.4f})
+Unpopular, full electoral college:  {unpopular_full:.4f}
+Unpopular, House electors only:     {unpopular_house:.4f}
+Unpopular, states-won limit rule:   {states_won_unpopular:.4f}
+Democratic win rate (full rule):    {dem_win_rate:.4f}
+California effect (popular winner x carried California):
+  D: carried {california_crosstab[D][carried]}, missed {california_crosstab[D][missed]}
+  R: carried {california_crosstab[R][carried]}, missed {california_crosstab[R][missed]}"""
+
+
 def cmd_report(args, parser) -> int:
     try:
         with open(args.summary, encoding="utf-8") as f:
             s = json.load(f)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read {args.summary}: {exc}", file=sys.stderr)
+        lines = [REPORT.format_map(s)]
+        bins = s["diff_histogram"]["bins"]
+        if bins:
+            pos = sum(c for lo, hi, c in bins if lo >= 0)
+            tot = sum(c for _, _, c in bins)
+            lines.append(f"Signed electoral differences in unpopular trials: "
+                         f"{tot} total, {pos} in nonnegative bins")
+        deg = s["degenerate"]
+        if deg["tied_state"] or deg["tied_popular"]:
+            lines.append(f"Degenerate trials: {deg}")
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"error: cannot read {args.summary}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 1
-    print(f"Simulated elections: {s['trials']} (seed {s['seed']}, "
-          f"{s['n_classified']} classified)")
-    print(f"Outcome codes (popular winner with full / house-only electors):")
-    for code in ("WW", "WL", "LW", "LL"):
-        print(f"  {code:9s} {s['counts'][code]:7d}  ({s['freq'][code]:.4f})")
-    print(f"Unpopular, full electoral college:  {s['unpopular_full']:.4f}")
-    print(f"Unpopular, House electors only:     {s['unpopular_house']:.4f}")
-    print(f"Unpopular, states-won limit rule:   {s['states_won_unpopular']:.4f}")
-    print(f"Democratic win rate (full rule):    {s['dem_win_rate']:.4f}")
-    ct = s["california_crosstab"]
-    print("California effect (popular winner x carried California):")
-    for party in ("D", "R"):
-        print(f"  {party}: carried {ct[party]['carried']}, "
-              f"missed {ct[party]['missed']}")
-    bins = s["diff_histogram"]["bins"]
-    if bins:
-        pos = sum(c for lo, hi, c in bins if lo >= 0)
-        tot = sum(c for _, _, c in bins)
-        print(f"Signed electoral differences in unpopular trials: "
-              f"{tot} total, {pos} in nonnegative bins")
-    deg = s["degenerate"]
-    if deg["tied_state"] or deg["tied_popular"]:
-        print(f"Degenerate trials: {deg}")
+    print("\n".join(lines))
     return 0
 
 
@@ -167,12 +169,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _at_least(lo: int):
-    """argparse type: an integer >= lo."""
+def _at_least(lo: int, below: float = float("inf")):
+    """argparse type: an integer in [lo, below)."""
     def integer(text: str) -> int:
         value = int(text)
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        if not lo <= value < below:
+            raise argparse.ArgumentTypeError(f"must be in [{lo}, {below}), got {value}")
         return value
     return integer
 
@@ -192,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a simulation batch and write outputs")
     _add_data_args(p)
     p.add_argument("--trials", type=_at_least(1), default=20000)
-    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--seed", type=_at_least(0, SEED_LIMIT), default=0)
     p.add_argument("--threads", type=_at_least(1), default=1)
     p.add_argument("--bins", type=_at_least(1), default=mc.DEFAULT_BIN_WIDTH,
                    help="electoral-difference histogram bin width (default 20)")
@@ -217,10 +219,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except ds.DatasetError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (pc.PcaError, mc.MonteCarloError) as exc:
+    except (ds.DatasetError, pc.PcaError, mc.MonteCarloError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

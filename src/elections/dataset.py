@@ -117,6 +117,9 @@ class ElectionDataset:
             raise ElectorSumMismatch(
                 f"house electors sum to {int(house.sum())}, expected {HOUSE_TOTAL}"
             )
+        base = self.senate_electors_base
+        if isinstance(base, bool) or not isinstance(base, (int, np.integer)) or base < 0:
+            raise DatasetError(f"senate_electors_base must be an integer >= 0, got {base!r}")
         shares.flags.writeable = False
         turnout.flags.writeable = False
         house.flags.writeable = False
@@ -168,7 +171,7 @@ def load_dataset(shares_path, structure_path) -> ElectionDataset:
             f"{shares_path}: expected dem_share or dem_votes/rep_votes columns"
         )
 
-    by_year: dict[int, dict[int, float]] = {}
+    cells: dict[tuple[int, int], float] = {}
     for row in share_rows:
         try:
             state = row["state"].strip()
@@ -177,27 +180,23 @@ def load_dataset(shares_path, structure_path) -> ElectionDataset:
                 share = float(row["dem_share"])
             else:
                 share = two_party_share(float(row["dem_votes"]), float(row["rep_votes"]))
-        except DegenerateVote:
-            raise
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise MalformedRow(f"{shares_path}: bad row {row!r}") from exc
         if state not in STATE_INDEX:
             raise MalformedRow(f"{shares_path}: unknown state {state!r}")
-        by_year.setdefault(year, {})[STATE_INDEX[state]] = share
+        if (year, STATE_INDEX[state]) in cells:
+            raise MalformedRow(f"{shares_path}: duplicate row for {state} {year}")
+        cells[year, STATE_INDEX[state]] = share
 
-    years = tuple(sorted(by_year))
+    years = tuple(sorted({year for year, _ in cells}))
     if len(years) < N_YEARS:
         raise MissingState(f"{shares_path}: {len(years)} years present, expected {N_YEARS}")
     shares = np.empty((len(years), N_STATES))
     for t, year in enumerate(years):
-        row = by_year[year]
-        if len(row) < N_STATES:
-            missing = sorted(set(range(N_STATES)) - set(row))
-            raise MissingState(
-                f"{shares_path}: year {year} missing {STATE_NAMES[missing[0]]}"
-            )
-        for s, value in row.items():
-            shares[t, s] = value
+        missing = [s for s in range(N_STATES) if (year, s) not in cells]
+        if missing:
+            raise MissingState(f"{shares_path}: year {year} missing {STATE_NAMES[missing[0]]}")
+        shares[t] = [cells[year, s] for s in range(N_STATES)]
 
     struct_rows = _read_rows(structure_path)
     turnout = np.zeros(N_STATES, dtype=np.int64)
@@ -213,6 +212,8 @@ def load_dataset(shares_path, structure_path) -> ElectionDataset:
         if state not in STATE_INDEX:
             raise MalformedRow(f"{structure_path}: unknown state {state!r}")
         idx = STATE_INDEX[state]
+        if idx in seen:
+            raise MalformedRow(f"{structure_path}: duplicate row for {state}")
         turnout[idx] = t_count
         house[idx] = h_count
         seen.add(idx)

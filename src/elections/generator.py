@@ -1,12 +1,13 @@
 """Correlated synthetic share vectors from the fitted PCA model.
 
 A simulated election is mean + sum_j z_j * sqrt(lambda_j) * E_j with the
-z_j independent standard normals.  Randomness is fully deterministic: trial
-t of master seed s draws from a PCG64 stream keyed by SeedSequence((s, t)),
-and normals come from the inverse normal CDF applied to 53-bit uniforms.
-Trials are therefore independent substreams and safe to evaluate in any
-order or in parallel.  Bit-equality is promised within this build, not
-across languages or numpy major versions.
+z_j independent standard normals.  Noise is counter-based: master seed s in
+[0, 2**128) keys one Philox-4x64 stream, and trial t owns its counters
+[b*t, b*(t+1)), b = ceil(size / 4), i.e. 4*b words.  Word w gives the
+uniform ((w >> 11) + 1) * 2**-53 in (0, 1]; words 2i and 2i+1 give the
+Box-Muller pair r cos(theta), r sin(theta) with r = sqrt(-2 log u_2i) and
+theta = 2 pi u_2i+1.  A chunk of trials is one advance and one draw, in any
+order or in parallel.  Bit-equality is promised within one numpy build.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .pca import PcaModel
 
@@ -44,33 +44,33 @@ class SimulatedShares:
     clamped: np.ndarray
 
 
-_TWO53 = float(1 << 53)
+SEED_LIMIT = 1 << 128  # Philox keys are 128 bits
 
 
-def _uniform_bits(seed: int, trial_index: int, size: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, trial_index))))
-    # integers in [1, 2^53 - 1] keep the uniforms strictly inside (0, 1)
-    return rng.integers(1, 1 << 53, size=size).astype(float) / _TWO53
-
-
-def draw_noise(seed: int, trial_index: int, size: int = 11) -> NoiseVector:
-    """Independent standard normals for one trial via inverse-CDF transform."""
-    if trial_index < 0:
-        raise ValueError(f"trial_index must be >= 0, got {trial_index}")
-    z = ndtri(_uniform_bits(seed, trial_index, size))
-    z.flags.writeable = False
-    return NoiseVector(z=z, trial_index=trial_index, seed=seed)
+def _normals(words: np.ndarray) -> np.ndarray:
+    """Box-Muller normals from 64-bit words, (radius, angle) pairs along the last axis."""
+    u = ((words >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53  # in (0, 1]
+    r = np.sqrt(-2.0 * np.log(u[..., 0::2]))
+    theta = 2.0 * np.pi * u[..., 1::2]
+    return np.stack((r * np.cos(theta), r * np.sin(theta)), axis=-1).reshape(u.shape)
 
 
 def draw_noise_batch(seed: int, start: int, count: int, size: int = 11) -> np.ndarray:
-    """(count, size) noise matrix for trials start..start+count-1.
+    """(count, size) noise matrix for trials start..start+count-1."""
+    if start < 0:
+        raise ValueError(f"start must be >= 0, got {start}")
+    blocks = -(-size // 4)
+    bitgen = np.random.Philox(key=seed)  # raises ValueError unless 0 <= seed < SEED_LIMIT
+    bitgen.advance(blocks * start)
+    words = bitgen.random_raw(4 * blocks * count).reshape(count, 4 * blocks)
+    return _normals(words)[:, :size]
 
-    Row i is bit-identical to draw_noise(seed, start + i, size).z.
-    """
-    u = np.empty((count, size))
-    for i in range(count):
-        u[i] = _uniform_bits(seed, start + i, size)
-    return ndtri(u)
+
+def draw_noise(seed: int, trial_index: int, size: int = 11) -> NoiseVector:
+    """Independent standard normals for one trial: row 0 of its batch of one."""
+    z = draw_noise_batch(seed, trial_index, 1, size)[0]
+    z.flags.writeable = False
+    return NoiseVector(z=z, trial_index=trial_index, seed=seed)
 
 
 def generate_shares(model: PcaModel, noise) -> SimulatedShares:

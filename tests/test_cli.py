@@ -152,8 +152,9 @@ def test_report_command(tmp_path, capsys):
 @pytest.mark.parametrize("args", [
     ["--trials", "0"], ["--seed", "-1"], ["--k-values", "0", "-1"],
     ["--bins", "0"], ["--bins", "-5"], ["--threads", "-3"], ["--trials", "x"],
+    ["--seed", str(2**128)],
 ], ids=["trials=0", "seed=-1", "k-values=-1", "bins=0", "bins=-5", "threads=-3",
-        "trials=x"])
+        "trials=x", "seed=2**128"])
 def test_simulate_usage_errors(tmp_path, capsys, args):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--trials", "5000", "--out", str(tmp_path / "r"), *args])
@@ -163,8 +164,9 @@ def test_simulate_usage_errors(tmp_path, capsys, args):
     assert not (tmp_path / "r").exists()
 
 
-@pytest.mark.parametrize("content", [None, "{not json", b"\xff\xfe"],
-                         ids=["missing", "not-json", "not-utf8"])
+@pytest.mark.parametrize("content", [None, "{not json", b"\xff\xfe", "{}", "[]"],
+                         ids=["missing", "not-json", "not-utf8", "empty-object",
+                              "empty-list"])
 def test_report_unreadable(tmp_path, capsys, content):
     path = tmp_path / "summary.json"
     if isinstance(content, str):

@@ -152,3 +152,24 @@ def test_unknown_state_rejected(dataset, tmp_path):
         csv.writer(f).writerows(rows)
     with pytest.raises(ds.MalformedRow):
         load_dataset(shares_path, struct_path)
+
+
+@pytest.mark.parametrize("fault", ["duplicate-share-row", "duplicate-structure-row",
+                                   -1, 2.5, "2", True])
+def test_duplicates_and_bad_senate_base_rejected(dataset, tmp_path, fault):
+    if isinstance(fault, str) and fault.startswith("duplicate"):
+        shares_path = tmp_path / "shares.csv"
+        struct_path = tmp_path / "structure.csv"
+        save_dataset(dataset, shares_path, struct_path)
+        path = shares_path if fault == "duplicate-share-row" else struct_path
+        lines = path.read_text().splitlines()
+        # the repeated row would otherwise silently overwrite the first one
+        path.write_text("\n".join(lines + [lines[1]]) + "\n")
+        with pytest.raises(ds.MalformedRow, match="duplicate"):
+            load_dataset(shares_path, struct_path)
+    else:
+        with pytest.raises(ds.DatasetError, match="senate_electors_base"):
+            ds.ElectionDataset(years=dataset.years, shares=dataset.shares,
+                               turnout=dataset.turnout,
+                               house_electors=dataset.house_electors,
+                               senate_electors_base=fault)

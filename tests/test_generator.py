@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,12 +36,21 @@ def test_draw_noise_substreams_differ():
 def test_draw_noise_negative_trial():
     with pytest.raises(ValueError):
         gen.draw_noise(0, -1)
+    # Philox rejects keys outside [0, 2**128); a negative start must never
+    # reach advance()
+    for seed, start in ((0, -1), (-1, 0), (2**128, 0)):
+        with pytest.raises(ValueError):
+            gen.draw_noise_batch(seed, start, 5)
 
 
 def test_batch_matches_single():
-    batch = gen.draw_noise_batch(3, 10, 5, size=11)
-    for i in range(5):
-        assert np.array_equal(batch[i], gen.draw_noise(3, 10 + i).z)
+    # start 10 is deliberately not a multiple of 4, the words per counter
+    for size in (1, 11, 19):
+        batch = gen.draw_noise_batch(3, 10, 5, size=size)
+        assert batch.shape == (5, size)
+        assert np.array_equal(batch, gen.draw_noise_batch(3, 0, 15, size=size)[10:])
+        for i in range(5):
+            assert np.array_equal(batch[i], gen.draw_noise(3, 10 + i, size).z)
 
 
 def test_zero_noise_returns_mean(model):
@@ -85,9 +99,24 @@ def test_generation_is_affine(t1, t2):
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
-def test_uniforms_strictly_interior():
-    u = gen._uniform_bits(0, 0, 100000)
-    assert u.min() > 0.0 and u.max() < 1.0
+def test_edge_words_give_finite_normals():
+    lo, hi = 0, 2**64 - 1
+    z = gen._normals(np.array([lo, lo, lo, hi, hi, lo, hi, hi], dtype=np.uint64))
+    # every z is finite only if no uniform is 0 (log 0) or above 1 (a negative
+    # radius square); word 0 is the smallest uniform 2**-53, word 2**64-1 is 1
+    assert z.shape == (8,) and np.all(np.isfinite(z))
+    assert np.allclose(np.hypot(z[0:4:2], z[1:4:2]), np.sqrt(-2 * np.log(2.0 ** -53)))
+    assert np.all(z[4:] == 0.0)
+
+
+def test_import_does_not_load_scipy():
+    src = Path(gen.__file__).resolve().parents[1]
+    code = ("import sys, elections; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_noise_moments_pooled():
