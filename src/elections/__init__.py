@@ -27,7 +27,7 @@ from .pca import (
     loadings_report,
     variance_explained,
 )
-from .tally import ElectorRule, TallyResult, electoral_totals, popular_totals, state_winners
+from .tally import TallyResult, electoral_totals, pool, popular_totals, state_winners
 
 __version__ = "0.1.0"
 
@@ -37,6 +37,6 @@ __all__ = [
     "draw_noise", "generate_shares", "OutcomeRecord", "RunSummary",
     "SweepResult", "classify", "emit_figure_data", "run_batch", "senate_sweep",
     "PcaModel", "center", "covariance", "fit_pca", "loadings_report",
-    "variance_explained", "ElectorRule", "TallyResult", "electoral_totals",
+    "variance_explained", "TallyResult", "electoral_totals", "pool",
     "popular_totals", "state_winners", "__version__",
 ]

@@ -75,6 +75,13 @@ def cmd_pca(args, parser) -> int:
     return 0
 
 
+def _write_csv(path: Path, header: list, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def cmd_simulate(args, parser) -> int:
     data = _load(args, parser)
     model = pc.fit_pca(data)
@@ -87,16 +94,13 @@ def cmd_simulate(args, parser) -> int:
     (out_dir / "senate_sweep.json").write_text(
         json.dumps(sweep.to_dict(), sort_keys=True, indent=2) + "\n")
     outputs = [("scatter_HS", "scatter_hs.csv"),
-               ("diff_histogram", "diff_histogram.csv"),
                ("california_scatter", "california_scatter.csv")]
     if args.emit_trials:
         outputs.append(("trials", "trials.csv"))
     for kind, fname in outputs:
-        header, rows = mc.emit_figure_data(summary.table, kind, bin_width=args.bins)
-        with open(out_dir / fname, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+        _write_csv(out_dir / fname, *mc.emit_figure_data(summary.table, kind))
+    _write_csv(out_dir / "diff_histogram.csv", ["bin_lo", "bin_hi", "count"],
+               summary.diff_histogram)
     print(f"trials={summary.trials} seed={summary.seed}")
     print(f"unpopular_full={summary.unpopular_full:.4f} "
           f"unpopular_house={summary.unpopular_house:.4f} "

@@ -12,6 +12,7 @@ order or in parallel.  Bit-equality is promised within one numpy build.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,10 @@ def _normals(words: np.ndarray) -> np.ndarray:
 
 def draw_noise_batch(seed: int, start: int, count: int, size: int = 11) -> np.ndarray:
     """(count, size) noise matrix for trials start..start+count-1."""
+    # Philox truncates a float key and takes True as 1, and wraps a negative
+    # advance, so both are checked here
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if start < 0:
         raise ValueError(f"start must be >= 0, got {start}")
     blocks = -(-size // 4)

@@ -33,7 +33,7 @@ import numpy as np
 from .dataset import CALIFORNIA, ElectionDataset
 from .generator import draw_noise_batch, generate_shares_batch
 from .pca import PcaModel
-from .tally import DEM, REP, TallyResult
+from .tally import DEM, HOUSE_ONLY, REP, TallyResult, pool
 
 CODES = ("WW", "WL", "LW", "LL")
 
@@ -75,35 +75,21 @@ def classify(tally: TallyResult, trial: int = 0) -> OutcomeRecord:
     if tally.dem_pop == tally.rep_pop:
         raise ExactPopularTie(f"popular vote tied at {tally.dem_pop}")
     pw = DEM if tally.dem_pop > tally.rep_pop else REP
-    house_total = tally.dem_house + tally.rep_house
-    n_states = tally.dem_states + tally.rep_states
-    full_total = house_total + tally.dem_senate + tally.rep_senate
-
-    dem_full = tally.dem_house + tally.dem_senate
-    pw_house = tally.dem_house if pw == DEM else tally.rep_house
-    pw_senate = tally.dem_senate if pw == DEM else tally.rep_senate
-    pw_full = pw_house + pw_senate
-
+    side = 0 if pw == DEM else 1
+    full = tally.totals(tally.senate_per_state)
+    house = tally.totals(HOUSE_ONLY)
     # exact splits count as L: the popular winner fails to win a majority
-    first = "W" if 2 * pw_full > full_total else "L"
-    second = "W" if 2 * pw_house > house_total else "L"
-    code = first + second
-
-    if 2 * dem_full > full_total:
-        winner_full = DEM
-    elif 2 * dem_full < full_total:
-        winner_full = REP
-    else:
-        winner_full = None
-    carried_ca = tally.carried[CALIFORNIA] == pw if n_states == 51 else None
+    code = "".join("W" if 2 * rule[side] > sum(rule) else "L" for rule in (full, house))
+    diff = full[0] - full[1]
+    carried_ca = tally.carried[CALIFORNIA] == pw if tally.n_states == 51 else None
     return OutcomeRecord(
         trial=trial,
         code=code,
         popular_winner=pw,
-        electoral_winner_full=winner_full,
-        signed_electoral_diff=2 * dem_full - full_total,
-        popular_winner_H=pw_house,
-        popular_winner_S=pw_senate,
+        electoral_winner_full=DEM if diff > 0 else REP if diff < 0 else None,
+        signed_electoral_diff=diff,
+        popular_winner_H=house[side],
+        popular_winner_S=full[side] - house[side],
         carried_california=carried_ca,
     )
 
@@ -138,13 +124,10 @@ class TrialTable:
         return ~(self.tied_state | self.tied_popular)
 
     def margin(self, k: int | None) -> np.ndarray:
-        """Popular winner's electors minus the rest in the pool House + k per
-        state carried; k=None is the k -> infinity limit, where only states
-        carried count.  The popular winner wins the pool iff margin > 0."""
-        if k is None:
-            return 2 * self.pw_states - self.n_states
-        return (2 * (self.pw_house + k * self.pw_states)
-                - self.house_total - k * self.n_states)
+        """Popular winner's electors minus the rest in the pool of rule k
+        (see tally.pool).  The popular winner wins the pool iff margin > 0."""
+        return (2 * pool(self.pw_house, self.pw_states, k)
+                - pool(self.house_total, self.n_states, k))
 
     def codes(self) -> np.ndarray:
         """Index into CODES per trial: 0=WW 1=WL 2=LW 3=LL."""
@@ -326,9 +309,8 @@ def senate_sweep(table: TrialTable, k_values=(0, 2, 10, 100)) -> SweepResult:
     A trial is unpopular when the popular winner fails to win a strict
     majority of the pool, so an exact split counts.  Hence by_k[0] equals
     unpopular_house and by_k[2] equals unpopular_full of the same table.
+    A k < 0 raises ValueError (see tally.pool).
     """
-    if any(k < 0 for k in k_values):
-        raise ValueError("all k must be >= 0")
     ok = table.ok
     n = int(ok.sum())
     by_k = {int(k): _rate(int((ok & (table.margin(k) <= 0)).sum()), n)
@@ -367,19 +349,15 @@ def _records(table: TrialTable) -> tuple:
             c["S"], c["california"]))
 
 
-def emit_figure_data(table: TrialTable, which: str,
-                     bin_width: int = DEFAULT_BIN_WIDTH):
-    """Tabular data behind the figures and the per-trial records.
+def emit_figure_data(table: TrialTable, which: str):
+    """Tabular data behind the scatter figures and the per-trial records.
 
     Returns (header, rows) over the classified trials.  `which` is one of
-    scatter_HS, diff_histogram, california_scatter, trials.
+    scatter_HS, california_scatter, trials.  The difference histogram is
+    RunSummary.diff_histogram.
     """
     if not table.ok.any():
         raise EmptyInput("no classified trials to emit")
-    if which == "diff_histogram":
-        unpopular = table.ok & (table.codes() >= 2)
-        return (["bin_lo", "bin_hi", "count"],
-                histogram(table.diffs()[unpopular], bin_width))
     c = _classified(table)
     if which == "scatter_HS":
         return ["H", "S", "code"], list(zip(c["H"], c["S"], c["code"]))

@@ -60,16 +60,12 @@ def format_scenarios() -> str:
     for code, res in run_all_scenarios().items():
         lines.append(f"{code}, {SCENARIO_TITLES[code]}")
         lines.append("state  A%    pop A  pop B   H+S A  H+S B   H A  H B")
-        for s in range(3):
-            share = res.shares[s]
-            pop_a = share * TOY_TURNOUT[s]
-            pop_b = TOY_TURNOUT[s] - pop_a
-            a_won = res.tally.carried[s] == "D"
-            hs_a = TOY_HOUSE[s] + 2 if a_won else 0
-            hs_b = 0 if a_won else TOY_HOUSE[s] + 2
-            h_a = TOY_HOUSE[s] if a_won else 0
-            h_b = 0 if a_won else TOY_HOUSE[s]
-            lines.append(f"{s + 1:>5}  {share:.0%}  {pop_a:5.0f}  {pop_b:5.0f}"
+        for s, share in enumerate(res.shares):
+            # each row is the tally of that state alone
+            state = electoral_totals([share], TOY_TURNOUT[s:s + 1], TOY_HOUSE[s:s + 1])
+            hs_a, hs_b = state.totals(FULL)
+            h_a, h_b = state.totals(HOUSE_ONLY)
+            lines.append(f"{s + 1:>5}  {share:.0%}  {state.dem_pop:5.0f}  {state.rep_pop:5.0f}"
                          f"   {hs_a:5d}  {hs_b:5d}   {h_a:3d}  {h_b:3d}")
         lines.append(f"total        {res.tally.dem_pop:5.0f}  {res.tally.rep_pop:5.0f}"
                      f"   {res.full_a:5d}  {res.full_b:5d}"

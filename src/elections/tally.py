@@ -25,56 +25,43 @@ class TiedState(TallyError):
     """A state's share is exactly 0.5; winner-take-all is undefined."""
 
 
-@dataclass(frozen=True)
-class ElectorRule:
-    """The elector pool House + k electors per state carried.
+# Elector rules are the k of pool(): the full college, House electors
+# alone, and the k -> infinity limit in which most states carried wins.
+FULL = 2
+HOUSE_ONLY = 0
+STATES_WON = None
 
-    k=2 is the full college (FULL) and k=0 House electors alone
-    (HOUSE_ONLY).  k=None is the k -> infinity limit (STATES_WON), in which
-    the candidate carrying most states wins, so its totals count states.
+
+def pool(house, states, k):
+    """Electors in the pool House + k per state carried; k=None counts states.
+
+    Elementwise on ints and numpy arrays alike.  Every elector rule of the
+    study is one k of this family, so a rule is just its k.
     """
-
-    k: int | None
-
-    def __post_init__(self):
-        if self.k is not None and self.k < 0:
-            raise ValueError(f"k must be >= 0, got {self.k}")
-
-
-FULL = ElectorRule(2)
-HOUSE_ONLY = ElectorRule(0)
-STATES_WON = ElectorRule(None)
+    if k is None:
+        return states
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    return house + k * states
 
 
 @dataclass(frozen=True)
 class TallyResult:
-    """All per-rule totals for one election; rule-specific winners derive from these."""
+    """One election's Democratic tallies and the sizes of the whole pools."""
 
     dem_pop: float
     rep_pop: float
     dem_house: int
-    rep_house: int
-    dem_senate: int
-    rep_senate: int
     dem_states: int
-    rep_states: int
+    house_total: int
+    n_states: int
+    senate_per_state: int
     carried: tuple[str, ...]  # per-state winner, DEM or REP
 
-    def totals(self, rule: ElectorRule) -> tuple[int, int]:
-        """(dem, rep) elector or state totals under the given rule."""
-        if rule.k is None:
-            return self.dem_states, self.rep_states
-        return (self.dem_house + rule.k * self.dem_states,
-                self.rep_house + rule.k * self.rep_states)
-
-    def winner(self, rule: ElectorRule) -> str | None:
-        """DEM/REP for a strict majority of the pool, None on an exact split."""
-        dem, rep = self.totals(rule)
-        if dem > rep:
-            return DEM
-        if rep > dem:
-            return REP
-        return None
+    def totals(self, k: int | None) -> tuple[int, int]:
+        """(dem, rep) elector or state totals in the pool of rule k."""
+        dem = pool(self.dem_house, self.dem_states, k)
+        return dem, pool(self.house_total, self.n_states, k) - dem
 
 
 def state_winners(clamped: np.ndarray) -> np.ndarray:
@@ -101,17 +88,13 @@ def electoral_totals(clamped, turnout, house_electors,
     house = np.asarray(house_electors, dtype=np.int64)
     dem_won = state_winners(clamped)
     dem_pop, rep_pop = popular_totals(clamped, turnout)
-    dem_house = int(house[dem_won].sum())
-    dem_states = int(dem_won.sum())
-    n_states = len(clamped)
     return TallyResult(
         dem_pop=dem_pop,
         rep_pop=rep_pop,
-        dem_house=dem_house,
-        rep_house=int(house.sum()) - dem_house,
-        dem_senate=senate_per_state * dem_states,
-        rep_senate=senate_per_state * (n_states - dem_states),
-        dem_states=dem_states,
-        rep_states=n_states - dem_states,
+        dem_house=int(house[dem_won].sum()),
+        dem_states=int(dem_won.sum()),
+        house_total=int(house.sum()),
+        n_states=len(clamped),
+        senate_per_state=senate_per_state,
         carried=tuple(DEM if w else REP for w in dem_won),
     )

@@ -1,8 +1,10 @@
+import contextlib
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elections.cli import main
 
@@ -90,6 +92,9 @@ def test_simulate_outputs_and_determinism(tmp_path, capsys):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     summary = json.loads((out1 / "run_summary.json").read_text())
     assert summary["trials"] == 300 and summary["seed"] == 5
+    rows = list(csv.reader(io.StringIO((out1 / "diff_histogram.csv").read_text())))
+    assert rows[0] == ["bin_lo", "bin_hi", "count"]
+    assert [[int(x) for x in r] for r in rows[1:]] == summary["diff_histogram"]["bins"] != []
     sweep = json.loads((out1 / "senate_sweep.json").read_text())
     assert sweep["by_k"]["0"] == summary["unpopular_house"]
     assert sweep["by_k"]["2"] == summary["unpopular_full"]
@@ -162,6 +167,30 @@ def test_simulate_usage_errors(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and args[0] in err
     assert not (tmp_path / "r").exists()
+
+
+# only invalid values: a positive --threads would start that many threads
+OUT_OF_RANGE = st.one_of(
+    st.tuples(st.just("--trials"), st.integers(max_value=0)),
+    st.tuples(st.just("--seed"), st.integers(max_value=-1) | st.integers(min_value=2**128)),
+    st.tuples(st.just("--bins"), st.integers(max_value=0)),
+    st.tuples(st.just("--k-values"), st.integers(max_value=-1)),
+    st.tuples(st.just("--threads"), st.integers(max_value=0)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(OUT_OF_RANGE)
+def test_simulate_out_of_range_integers(tmp_path_factory, flag_value):
+    flag, value = flag_value
+    out = tmp_path_factory.getbasetemp() / "never-written"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["simulate", "--trials", "5000", "--out", str(out), flag, str(value)])
+    assert exc.value.code == 2
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and flag in lines[0] and "Traceback" not in lines[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("content", [None, "{not json", b"\xff\xfe", "{}", "[]"],

@@ -36,11 +36,14 @@ def test_draw_noise_substreams_differ():
 def test_draw_noise_negative_trial():
     with pytest.raises(ValueError):
         gen.draw_noise(0, -1)
-    # Philox rejects keys outside [0, 2**128); a negative start must never
-    # reach advance()
-    for seed, start in ((0, -1), (-1, 0), (2**128, 0)):
+    # Philox rejects keys outside [0, 2**128) but truncates a float key and
+    # takes True as key 1; a negative start must never reach advance()
+    for seed, start in ((0, -1), (-1, 0), (2**128, 0), (1.5, 0), (True, 0),
+                        (np.float64(1), 0)):
         with pytest.raises(ValueError):
             gen.draw_noise_batch(seed, start, 5)
+    assert np.array_equal(gen.draw_noise_batch(np.uint64(1), 0, 2),
+                          gen.draw_noise_batch(1, 0, 2))
 
 
 def test_batch_matches_single():

@@ -57,25 +57,30 @@ def test_scenario_wl():
 
 
 def test_rule_equivalences():
-    t = scenarios.run_scenario("LW").tally
-    assert t.totals(tally.HOUSE_ONLY) == (t.dem_house, t.rep_house)
-    assert t.totals(tally.FULL) == (t.dem_house + t.dem_senate,
-                                    t.rep_house + t.rep_senate)
-    assert t.totals(tally.STATES_WON) == (t.dem_states, t.rep_states)
+    t = scenarios.run_scenario("LW").tally  # D carries state 1: 3 House electors
+    assert (t.dem_house, t.dem_states, t.house_total, t.n_states) == (3, 1, 5, 3)
+    assert t.totals(tally.HOUSE_ONLY) == (3, 2)
+    assert t.totals(tally.FULL) == (3 + 2 * 1, 2 + 2 * 2)
+    assert t.totals(tally.STATES_WON) == (1, 2)
+    assert tally.pool(np.array([3, 2]), np.array([1, 2]), 10).tolist() == [13, 22]
 
 
 def test_rule_validation():
-    with pytest.raises(ValueError):
-        tally.ElectorRule(-1)
+    t = scenarios.run_scenario("LW").tally
+    for k in (-1, np.int64(-2)):
+        with pytest.raises(ValueError):
+            tally.pool(3, 1, k)
+        with pytest.raises(ValueError):
+            t.totals(k)
 
 
 def test_winner_and_exact_split():
     t = scenarios.run_scenario("WL").tally
-    assert t.winner(tally.FULL) == tally.DEM
-    assert t.winner(tally.HOUSE_ONLY) == tally.REP
+    assert t.totals(tally.FULL) == (6, 5)
+    assert t.totals(tally.HOUSE_ONLY) == (2, 3)
     # equal split of a 4-elector toy pool has no winner
     split = tally.electoral_totals([0.6, 0.4], [100, 100], [2, 2])
-    assert split.winner(tally.HOUSE_ONLY) is None
+    assert split.totals(tally.HOUSE_ONLY) == (2, 2)
 
 
 shares_st = st.lists(
@@ -90,9 +95,9 @@ def test_conservation(shares, k):
     turnout = np.full(n, 100)
     house = np.arange(1, n + 1)
     t = tally.electoral_totals(shares, turnout, house)
-    dem, rep = t.totals(tally.ElectorRule(k))
+    dem, rep = t.totals(k)
     assert dem + rep == int(house.sum()) + n * k
-    assert t.dem_states + t.rep_states == n
+    assert sum(t.totals(tally.STATES_WON)) == n
     assert t.dem_pop + t.rep_pop == pytest.approx(turnout.sum())
 
 
@@ -120,7 +125,8 @@ def test_monotonicity(shares, idx, bump):
                 min_size=51, max_size=51))
 def test_states_won_never_ties(shares):
     t = tally.electoral_totals(shares, np.full(51, 100), np.full(51, 1))
-    assert t.winner(tally.STATES_WON) is not None
+    dem, rep = t.totals(tally.STATES_WON)
+    assert dem != rep
 
 
 def test_full_scale_totals(dataset):
@@ -130,4 +136,22 @@ def test_full_scale_totals(dataset):
     assert dem + rep == 538
     assert dem > 269  # 2008 was a Democratic electoral win
     assert t.dem_pop > t.rep_pop
-    assert t.dem_senate == 2 * t.dem_states
+    assert dem - t.totals(tally.HOUSE_ONLY)[0] == 2 * t.dem_states
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.01, 0.99).filter(lambda x: abs(x - 0.5) > 1e-6),
+                          st.integers(1, 60)), min_size=1, max_size=51),
+       st.one_of(st.integers(0, 10), st.none()))
+def test_totals_match_per_state_loop(states, k):
+    shares = [share for share, _ in states]
+    house = [h for _, h in states]
+    t = tally.electoral_totals(shares, np.full(len(states), 100), house)
+    dem = rep = 0
+    for share, h in states:
+        electors = 1 if k is None else h + k
+        if share > 0.5:
+            dem += electors
+        else:
+            rep += electors
+    assert t.totals(k) == (dem, rep)
