@@ -9,7 +9,7 @@ from .dataset import (
     save_dataset,
     two_party_share,
 )
-from .generator import NoiseVector, SimulatedShares, draw_noise, generate_shares
+from .generator import SimulatedShares, draw_noise, generate_shares
 from .montecarlo import (
     OutcomeRecord,
     RunSummary,
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ElectionDataset", "STATE_NAMES", "load_bundled_dataset", "load_dataset",
-    "save_dataset", "two_party_share", "NoiseVector", "SimulatedShares",
+    "save_dataset", "two_party_share", "SimulatedShares",
     "draw_noise", "generate_shares", "OutcomeRecord", "RunSummary",
     "SweepResult", "classify", "emit_figure_data", "run_batch", "senate_sweep",
     "PcaModel", "center", "covariance", "fit_pca", "loadings_report",

@@ -135,8 +135,6 @@ class ElectionDataset:
     def restrict_years(self, start_year: int) -> "ElectionDataset":
         """Drop elections before start_year, keeping structure unchanged."""
         keep = [t for t, y in enumerate(self.years) if y >= start_year]
-        if len(keep) < 2:
-            raise MissingState(f"start_year {start_year} leaves fewer than 2 elections")
         return ElectionDataset(
             years=tuple(self.years[t] for t in keep),
             shares=self.shares[keep].copy(),
@@ -147,11 +145,14 @@ class ElectionDataset:
 
 
 def _read_rows(path) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None:
-            raise MalformedRow(f"{path}: empty file")
-        return list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            reader = csv.DictReader(f)
+            if reader.fieldnames is None:
+                raise MalformedRow(f"{path}: empty file")
+            return list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise MalformedRow(f"{path}: cannot read: {exc}") from exc
 
 
 def load_dataset(shares_path, structure_path) -> ElectionDataset:
@@ -205,9 +206,9 @@ def load_dataset(shares_path, structure_path) -> ElectionDataset:
     for row in struct_rows:
         try:
             state = row["state"].strip()
-            t_count = int(row["turnout_two_party_2008"])
-            h_count = int(row["house_electors"])
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            t_count = np.int64(int(row["turnout_two_party_2008"]))
+            h_count = np.int64(int(row["house_electors"]))
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise MalformedRow(f"{structure_path}: bad row {row!r}") from exc
         if state not in STATE_INDEX:
             raise MalformedRow(f"{structure_path}: unknown state {state!r}")
@@ -240,12 +241,7 @@ def save_dataset(dataset: ElectionDataset, shares_path, structure_path) -> None:
             writer.writerow([name, int(dataset.turnout[s]), int(dataset.house_electors[s])])
 
 
-def bundled_data_paths():
-    """Paths of the CSVs shipped inside the package."""
-    root = resources.files("elections") / "data"
-    return root / "elections_1964_2008.csv", root / "structure_2008.csv"
-
-
 def load_bundled_dataset() -> ElectionDataset:
-    shares_path, structure_path = bundled_data_paths()
-    return load_dataset(shares_path, structure_path)
+    """The 1964-2008 history and 2008 structure shipped inside the package."""
+    root = resources.files("elections") / "data"
+    return load_dataset(root / "elections_1964_2008.csv", root / "structure_2008.csv")

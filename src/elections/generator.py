@@ -29,15 +29,6 @@ class DimensionMismatch(GeneratorError):
 
 
 @dataclass(frozen=True)
-class NoiseVector:
-    """Standard-normal draws for one trial, reproducible from (seed, trial)."""
-
-    z: np.ndarray
-    trial_index: int
-    seed: int
-
-
-@dataclass(frozen=True)
 class SimulatedShares:
     """One simulated 51-state share vector, raw and clamped to [0, 1]."""
 
@@ -71,16 +62,16 @@ def draw_noise_batch(seed: int, start: int, count: int, size: int = 11) -> np.nd
     return _normals(words)[:, :size]
 
 
-def draw_noise(seed: int, trial_index: int, size: int = 11) -> NoiseVector:
+def draw_noise(seed: int, trial_index: int, size: int = 11) -> np.ndarray:
     """Independent standard normals for one trial: row 0 of its batch of one."""
     z = draw_noise_batch(seed, trial_index, 1, size)[0]
     z.flags.writeable = False
-    return NoiseVector(z=z, trial_index=trial_index, seed=seed)
+    return z
 
 
 def generate_shares(model: PcaModel, noise) -> SimulatedShares:
     """Apply the mean-plus-scaled-eigenvector formula to one noise vector."""
-    z = noise.z if isinstance(noise, NoiseVector) else np.asarray(noise, dtype=float)
+    z = np.asarray(noise, dtype=float)
     if z.shape != (model.n_components,):
         raise DimensionMismatch(
             f"noise has shape {z.shape}, model has {model.n_components} components"

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -47,10 +47,6 @@ class MonteCarloError(Exception):
 
 class ExactPopularTie(MonteCarloError):
     """Popular vote split exactly in half; no popular winner exists."""
-
-
-class EmptyInput(MonteCarloError):
-    """Figure emission requested from a table with no classified trial."""
 
 
 @dataclass(frozen=True)
@@ -198,23 +194,11 @@ class RunSummary:
     table: TrialTable | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "n_classified": self.n_classified,
-            "counts": self.counts,
-            "freq": self.freq,
-            "unpopular_full": self.unpopular_full,
-            "unpopular_house": self.unpopular_house,
-            "dem_win_rate": self.dem_win_rate,
-            "states_won_unpopular": self.states_won_unpopular,
-            "diff_histogram": {"bin_width": self.bin_width,
-                               "bins": self.diff_histogram},
-            "california_crosstab": self.california_crosstab,
-            "degenerate": self.degenerate,
-            "exact_full_splits": self.exact_full_splits,
-            "exact_house_splits": self.exact_house_splits,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("records", "table")}
+        out["diff_histogram"] = {"bin_width": out.pop("bin_width"),
+                                 "bins": self.diff_histogram}
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -273,11 +257,8 @@ def run_batch(model: PcaModel, dataset: ElectionDataset, trials: int, seed: int,
         return trial_columns(model, dataset, seed, start,
                              min(chunk_size, trials - start))
 
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, starts))
-    else:
-        parts = [work(s) for s in starts]
+    with ThreadPoolExecutor(max_workers=threads) as executor:
+        parts = list(executor.map(work, starts))
     table = TrialTable(
         seed=seed,
         house_total=int(dataset.house_electors.sum()),
@@ -356,8 +337,6 @@ def emit_figure_data(table: TrialTable, which: str):
     scatter_HS, california_scatter, trials.  The difference histogram is
     RunSummary.diff_histogram.
     """
-    if not table.ok.any():
-        raise EmptyInput("no classified trials to emit")
     c = _classified(table)
     if which == "scatter_HS":
         return ["H", "S", "code"], list(zip(c["H"], c["S"], c["code"]))

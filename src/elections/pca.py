@@ -22,11 +22,7 @@ class PcaError(Exception):
 
 
 class DegenerateSample(PcaError):
-    """Fewer than two observations; no sample covariance exists."""
-
-
-class RankDeficient(PcaError):
-    """Strict mode: fewer nonzero eigenvalues than expected."""
+    """Fewer than two observations, or no variance: no model exists."""
 
 
 class IndexOutOfRange(PcaError, IndexError):
@@ -80,38 +76,28 @@ def covariance(devs: DeviationMatrix) -> np.ndarray:
 
 
 def _apply_sign_convention(vectors: np.ndarray) -> np.ndarray:
-    out = vectors.copy()
-    for j in range(out.shape[0]):
-        total = out[j].sum()
-        if total < -1e-12:
-            out[j] = -out[j]
-        elif abs(total) <= 1e-12:
-            nonzero = np.nonzero(out[j])[0]
-            if len(nonzero) and out[j, nonzero[0]] < 0:
-                out[j] = -out[j]
-    return out
+    """Flip each row whose sum is below -1e-12, or within 1e-12 of zero with a
+    negative first nonzero entry."""
+    total = vectors.sum(axis=1)
+    first = vectors[np.arange(len(vectors)), np.argmax(vectors != 0, axis=1)]
+    flip = (total < -1e-12) | ((np.abs(total) <= 1e-12) & (first < 0))
+    return np.where(flip[:, None], -vectors, vectors)
 
 
-def fit_pca(dataset, strict: bool = False, expected_rank: int | None = None) -> PcaModel:
-    """Eigendecompose the sample covariance and keep the nonzero spectrum.
-
-    In strict mode the model must have at least expected_rank (default n-1)
-    nonzero eigenvalues, else RankDeficient is raised.
-    """
+def fit_pca(dataset) -> PcaModel:
+    """Eigendecompose the sample covariance and keep the nonzero spectrum."""
     dm = center(dataset)
     cov = covariance(dm)
     lam, vecs = np.linalg.eigh(cov)
     order = np.argsort(lam)[::-1]
     lam = lam[order]
     vecs = vecs[:, order].T  # rows are eigenvectors
+    if lam[0] <= 0:
+        raise DegenerateSample("the shares have no variance: every state's share is constant")
     cutoff = lam[0] * ZERO_CUTOFF
     keep = lam > cutoff
     lam = lam[keep]
     vecs = _apply_sign_convention(vecs[keep])
-    if strict:
-        want = expected_rank if expected_rank is not None else dm.n - 1
-        if len(lam) < want:
-            raise RankDeficient(f"{len(lam)} nonzero eigenvalues, expected {want}")
     lam.flags.writeable = False
     vecs.flags.writeable = False
     mean = dm.mean.copy()

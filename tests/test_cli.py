@@ -220,3 +220,99 @@ def test_bad_structure_file(tmp_path, capsys):
                           "--structure", str(struct_path)], capsys)
     assert code == 1
     assert "MalformedRow" in err
+
+
+def _saved_pair(directory, shares=None):
+    """Write the bundled data (shares optionally replaced) as a CSV pair."""
+    import dataclasses
+
+    from elections import load_bundled_dataset, save_dataset
+
+    data = load_bundled_dataset()
+    if shares is not None:
+        data = dataclasses.replace(data, shares=shares)
+    paths = directory / "shares.csv", directory / "structure.csv"
+    save_dataset(data, *paths)
+    return paths
+
+
+@pytest.mark.parametrize("command", ["pca", "simulate"])
+def test_zero_variance_history_rejected(tmp_path, capsys, command):
+    import numpy as np
+
+    shares, structure = _saved_pair(tmp_path, np.full((12, 51), 0.5))
+    out = tmp_path / "r"
+    argv = [command, "--shares", str(shares), "--structure", str(structure)]
+    if command == "simulate":
+        argv += ["--trials", "100", "--out", str(out)]
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    assert len(err.splitlines()) == 1 and "DegenerateSample" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--shares", "--structure"])
+@pytest.mark.parametrize("fault", ["missing", "directory", "not-utf8"])
+def test_unreadable_input_file(tmp_path, capsys, flag, fault):
+    shares, structure = _saved_pair(tmp_path)
+    bad = tmp_path / "bad.csv"
+    if fault == "directory":
+        bad.mkdir()
+    elif fault == "not-utf8":
+        bad.write_bytes(b"state,year,dem_share\n\xff\xfe\n")
+    argv = ["pca", "--shares", str(shares), "--structure", str(structure)]
+    argv[argv.index(flag) + 1] = str(bad)
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "MalformedRow" in err and str(bad) in err
+
+
+# edits to a valid CSV pair: (kind, line, field, text); indices wrap around
+MUTATIONS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["drop", "duplicate"]), st.integers(0, 700)),
+    st.tuples(st.just("truncate"), st.integers(0, 700), st.integers(0, 40)),
+    st.tuples(st.just("field"), st.integers(0, 700), st.integers(0, 3), st.text(max_size=12)),
+    st.tuples(st.just("prepend"), st.binary(min_size=1, max_size=12)),
+), min_size=1, max_size=4)
+
+
+def _mutate(data: bytes, mutations) -> bytes:
+    for kind, *args in mutations:
+        lines = data.splitlines(keepends=True)
+        if kind == "prepend":
+            data = args[0] + data
+            continue
+        if not lines:
+            continue
+        i = args[0] % len(lines)
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "truncate":
+            lines[i] = lines[i][:args[1]]
+        else:
+            fields = lines[i].rstrip(b"\n").split(b",")
+            fields[args[1] % len(fields)] = args[2].encode("utf-8")
+            lines[i] = b",".join(fields) + b"\n"
+        data = b"".join(lines)
+    return data
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([0, 1]), MUTATIONS)
+def test_malformed_csv_fails_cleanly(tmp_path_factory, target, mutations):
+    directory = tmp_path_factory.getbasetemp() / "malformed"
+    directory.mkdir(exist_ok=True)
+    paths = _saved_pair(directory)
+    paths[target].write_bytes(_mutate(paths[target].read_bytes(), mutations))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["pca", "--shares", str(paths[0]), "--structure", str(paths[1])])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    assert len(lines) <= 1 and "Traceback" not in err.getvalue()
+    assert (code == 0) == (lines == [])

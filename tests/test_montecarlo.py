@@ -176,6 +176,15 @@ def test_summary_json_round_trip(summary_20k):
     assert d["diff_histogram"]["bin_width"] == mc.DEFAULT_BIN_WIDTH
 
 
+def test_summary_json_keys(summary_20k):
+    d = summary_20k.to_dict()
+    assert set(d) == {
+        "trials", "seed", "n_classified", "counts", "freq", "unpopular_full",
+        "unpopular_house", "dem_win_rate", "states_won_unpopular", "diff_histogram",
+        "california_crosstab", "degenerate", "exact_full_splits", "exact_house_splits"}
+    assert set(d["diff_histogram"]) == {"bin_width", "bins"}
+
+
 def test_emit_figure_data(summary_20k):
     table = summary_20k.table
     header, rows = mc.emit_figure_data(table, "scatter_HS")
@@ -194,8 +203,10 @@ def test_emit_figure_data(summary_20k):
 
 
 def test_emit_figure_data_errors(summary_20k):
-    with pytest.raises(mc.EmptyInput):
-        mc.emit_figure_data(make_table(1, tied_state=np.ones(1, bool)), "scatter_HS")
+    degenerate = make_table(1, tied_state=np.ones(1, bool))
+    for kind in ("scatter_HS", "california_scatter", "trials"):
+        header, rows = mc.emit_figure_data(degenerate, kind)
+        assert header == mc.emit_figure_data(summary_20k.table, kind)[0] and rows == []
     for kind in ("pie_chart", "diff_histogram"):  # the histogram is the summary's
         with pytest.raises(ValueError):
             mc.emit_figure_data(summary_20k.table, kind)

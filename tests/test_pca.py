@@ -29,6 +29,8 @@ def test_covariance_degenerate():
     dm = pca.center(np.array([[0.4, 0.6]]))
     with pytest.raises(pca.DegenerateSample):
         pca.covariance(dm)
+    with pytest.raises(pca.DegenerateSample):  # no variance at all
+        pca.fit_pca(np.full((12, 51), 0.5))
 
 
 def test_centering_columns_sum_to_zero(dataset):
@@ -81,14 +83,33 @@ def test_isotropic_covariance():
     assert np.allclose(model.eigenvalues, c, atol=1e-12)
 
 
-def test_strict_rank_deficient():
+def test_duplicate_election_drops_zero_eigenvalue():
     rng = np.random.default_rng(0)
     data = rng.uniform(0.3, 0.7, size=(12, 51))
     data[5] = data[4]  # duplicate election -> rank at most 10
-    with pytest.raises(pca.RankDeficient):
-        pca.fit_pca(data, strict=True, expected_rank=11)
-    model = pca.fit_pca(data)  # non-strict drops the zero eigenvalue
-    assert model.n_components <= 10
+    assert pca.fit_pca(data).n_components <= 10
+
+
+def _sign_convention_loop(vectors):
+    out = vectors.copy()
+    for row in out:
+        total = row.sum()
+        nonzero = row[np.nonzero(row)[0]]
+        if total < -1e-12 or (abs(total) <= 1e-12 and len(nonzero) and nonzero[0] < 0):
+            row *= -1
+    return out
+
+
+def test_sign_convention_matches_loop():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        rows = rng.normal(size=(6, 5))
+        rows[1] -= rows[1].mean()                    # zero sum up to rounding
+        rows[2] = [0.0, -1.0, 1.0, 2.0, -2.0]        # exact zero sum
+        rows[3] = 0.0
+        rows[4, :2] = 0.0
+        rng.shuffle(rows)
+        assert np.array_equal(pca._apply_sign_convention(rows), _sign_convention_loop(rows))
 
 
 def test_variance_explained(model):
