@@ -13,6 +13,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import dataset as ds
 from . import montecarlo as mc
 from . import pca as pc
@@ -22,6 +24,9 @@ from .scenarios import format_scenarios, run_all_scenarios
 VALID_START_YEARS = tuple(range(1964, 2008, 4))
 MIN_ELECTIONS = 3
 WARN_ELECTIONS = 8
+# exclusive bounds of simulate's integer flags: a 10**8-trial table is ~3 GB, and
+# below them 2 * (436 + 51 k) and bin_width * (diff // bin_width) fit in int64
+TRIALS_LIMIT, K_LIMIT, BINS_LIMIT = 10**8, 10**16, 10**9
 
 
 def _load(args, parser) -> ds.ElectionDataset:
@@ -75,21 +80,27 @@ def cmd_pca(args, parser) -> int:
     return 0
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
+def _write_csv(path: Path, header: list, columns) -> None:
+    """One CSV row per index of the equal-length numpy `columns`."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(zip(*(c.tolist() for c in columns)))
 
 
 def cmd_simulate(args, parser) -> int:
     data = _load(args, parser)
     model = pc.fit_pca(data)
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create {out_dir}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 1
     summary = mc.run_batch(model, data, trials=args.trials, seed=args.seed,
                            threads=args.threads, bin_width=args.bins)
     sweep = mc.senate_sweep(summary.table, k_values=args.k_values)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "run_summary.json").write_text(summary.to_json() + "\n")
     (out_dir / "senate_sweep.json").write_text(
         json.dumps(sweep.to_dict(), sort_keys=True, indent=2) + "\n")
@@ -100,7 +111,7 @@ def cmd_simulate(args, parser) -> int:
     for kind, fname in outputs:
         _write_csv(out_dir / fname, *mc.emit_figure_data(summary.table, kind))
     _write_csv(out_dir / "diff_histogram.csv", ["bin_lo", "bin_hi", "count"],
-               summary.diff_histogram)
+               np.array(summary.diff_histogram, dtype=np.int64).reshape(-1, 3).T)
     print(f"trials={summary.trials} seed={summary.seed}")
     print(f"unpopular_full={summary.unpopular_full:.4f} "
           f"unpopular_house={summary.unpopular_house:.4f} "
@@ -197,12 +208,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a simulation batch and write outputs")
     _add_data_args(p)
-    p.add_argument("--trials", type=_at_least(1), default=20000)
+    p.add_argument("--trials", type=_at_least(1, TRIALS_LIMIT), default=20000)
     p.add_argument("--seed", type=_at_least(0, SEED_LIMIT), default=0)
     p.add_argument("--threads", type=_at_least(1), default=1)
-    p.add_argument("--bins", type=_at_least(1), default=mc.DEFAULT_BIN_WIDTH,
+    p.add_argument("--bins", type=_at_least(1, BINS_LIMIT), default=mc.DEFAULT_BIN_WIDTH,
                    help="electoral-difference histogram bin width (default 20)")
-    p.add_argument("--k-values", type=_at_least(0), nargs="+", default=[0, 2, 10, 100],
+    p.add_argument("--k-values", type=_at_least(0, K_LIMIT), nargs="+",
+                   default=[0, 2, 10, 100],
                    help="Senate elector counts for the sweep")
     p.add_argument("--out", default="results", help="output directory")
     p.add_argument("--emit-trials", action="store_true",

@@ -242,7 +242,7 @@ def summarize(table: TrialTable, bin_width: int = DEFAULT_BIN_WIDTH,
 
 def run_batch(model: PcaModel, dataset: ElectionDataset, trials: int, seed: int,
               threads: int = 1, bin_width: int = DEFAULT_BIN_WIDTH,
-              keep_records: bool = False, chunk_size: int = _CHUNK) -> RunSummary:
+              keep_records: bool = False) -> RunSummary:
     """Simulate, tally, and classify `trials` elections, drawing each once.
 
     The summary carries the trial table for the sweep and the figure data.
@@ -251,11 +251,10 @@ def run_batch(model: PcaModel, dataset: ElectionDataset, trials: int, seed: int,
         raise ValueError(f"trials must be >= 1, got {trials}")
     if bin_width < 1:
         raise ValueError(f"bin_width must be >= 1, got {bin_width}")
-    starts = range(0, trials, chunk_size)
+    starts = range(0, trials, _CHUNK)
 
     def work(start):
-        return trial_columns(model, dataset, seed, start,
-                             min(chunk_size, trials - start))
+        return trial_columns(model, dataset, seed, start, min(_CHUNK, trials - start))
 
     with ThreadPoolExecutor(max_workers=threads) as executor:
         parts = list(executor.map(work, starts))
@@ -301,49 +300,38 @@ def senate_sweep(table: TrialTable, k_values=(0, 2, 10, 100)) -> SweepResult:
                        states_won_limit=limit)
 
 
-def _classified(table: TrialTable) -> dict:
-    """Columns of the classified trials, in trial order, as Python lists."""
-    ok = table.ok
-    return {
-        "trial": np.flatnonzero(ok).tolist(),
-        "code": np.array(CODES)[table.codes()[ok]].tolist(),
-        "popular_winner": np.where(table.pw_dem[ok], DEM, REP).tolist(),
-        "diff": table.diffs()[ok].tolist(),
-        "H": table.pw_house[ok].tolist(),
-        "S": (table.senate_per_state * table.pw_states[ok]).tolist(),
-        "california": table.carried_ca[ok].astype(int).tolist(),
-        "dem_pop": table.dem_pop[ok].tolist(),
-        "rep_pop": (table.total_pop - table.dem_pop[ok]).tolist(),
-    }
-
-
 def _records(table: TrialTable) -> tuple:
     """OutcomeRecord view of the classified trials."""
-    c = _classified(table)
+    ok = table.ok
     return tuple(
-        OutcomeRecord(trial=t, code=code, popular_winner=pw,
+        OutcomeRecord(trial=t, code=CODES[c], popular_winner=DEM if dem else REP,
                       electoral_winner_full=DEM if d > 0 else REP if d < 0 else None,
                       signed_electoral_diff=d, popular_winner_H=h,
-                      popular_winner_S=s, carried_california=bool(ca))
-        for t, code, pw, d, h, s, ca in zip(
-            c["trial"], c["code"], c["popular_winner"], c["diff"], c["H"],
-            c["S"], c["california"]))
+                      popular_winner_S=table.senate_per_state * s, carried_california=ca)
+        for t, c, dem, d, h, s, ca in zip(*(column.tolist() for column in (
+            np.flatnonzero(ok), table.codes()[ok], table.pw_dem[ok], table.diffs()[ok],
+            table.pw_house[ok], table.pw_states[ok], table.carried_ca[ok]))))
 
 
 def emit_figure_data(table: TrialTable, which: str):
     """Tabular data behind the scatter figures and the per-trial records.
 
-    Returns (header, rows) over the classified trials.  `which` is one of
-    scatter_HS, california_scatter, trials.  The difference histogram is
+    Returns (header, columns): one numpy array per header name over the
+    classified trials, in trial order.  `which` is one of scatter_HS,
+    california_scatter, trials.  The difference histogram is
     RunSummary.diff_histogram.
     """
-    c = _classified(table)
+    ok = table.ok
+    hs = [table.pw_house[ok], table.senate_per_state * table.pw_states[ok]]
     if which == "scatter_HS":
-        return ["H", "S", "code"], list(zip(c["H"], c["S"], c["code"]))
+        return ["H", "S", "code"], [*hs, np.array(CODES)[table.codes()[ok]]]
+    carried = table.carried_ca[ok].astype(int)
     if which == "california_scatter":
         return (["H", "S", "popular_winner", "carried_california"],
-                list(zip(c["H"], c["S"], c["popular_winner"], c["california"])))
+                [*hs, np.where(table.pw_dem[ok], DEM, REP), carried])
     if which == "trials":
-        header = ["trial", "code", "dem_pop", "rep_pop", "H", "S", "diff", "california"]
-        return header, list(zip(*(c[name] for name in header)))
+        dem = table.dem_pop[ok]
+        return (["trial", "code", "dem_pop", "rep_pop", "H", "S", "diff", "california"],
+                [np.flatnonzero(ok), np.array(CODES)[table.codes()[ok]], dem,
+                 table.total_pop - dem, *hs, table.diffs()[ok], carried])
     raise ValueError(f"unknown figure kind {which!r}")

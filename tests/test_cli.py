@@ -6,7 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elections.cli import main
+from elections.cli import BINS_LIMIT, K_LIMIT, TRIALS_LIMIT, main
 
 
 def run(argv, capsys):
@@ -171,10 +171,12 @@ def test_simulate_usage_errors(tmp_path, capsys, args):
 
 # only invalid values: a positive --threads would start that many threads
 OUT_OF_RANGE = st.one_of(
-    st.tuples(st.just("--trials"), st.integers(max_value=0)),
+    st.tuples(st.just("--trials"),
+              st.integers(max_value=0) | st.integers(min_value=TRIALS_LIMIT)),
     st.tuples(st.just("--seed"), st.integers(max_value=-1) | st.integers(min_value=2**128)),
-    st.tuples(st.just("--bins"), st.integers(max_value=0)),
-    st.tuples(st.just("--k-values"), st.integers(max_value=-1)),
+    st.tuples(st.just("--bins"), st.integers(max_value=0) | st.integers(min_value=BINS_LIMIT)),
+    st.tuples(st.just("--k-values"),
+              st.integers(max_value=-1) | st.integers(min_value=K_LIMIT)),
     st.tuples(st.just("--threads"), st.integers(max_value=0)),
 )
 
@@ -191,6 +193,74 @@ def test_simulate_out_of_range_integers(tmp_path_factory, flag_value):
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and flag in lines[0] and "Traceback" not in lines[0]
     assert not out.exists()
+
+
+def test_simulate_largest_k_and_bins(tmp_path, capsys):
+    # just below their bounds, k and the bin width still fit in int64
+    out = tmp_path / "r"
+    assert run(["simulate", "--trials", "2000", "--out", str(out), "--k-values", "2",
+                str(K_LIMIT - 1), "--bins", str(BINS_LIMIT - 1)], capsys)[0] == 0
+    summary = json.loads((out / "run_summary.json").read_text())
+    sweep = json.loads((out / "senate_sweep.json").read_text())
+    # 51 states never split evenly, so a k above 436 follows the states won
+    assert sweep["by_k"][str(K_LIMIT - 1)] == sweep["states_won_limit"]
+    bins = summary["diff_histogram"]["bins"]
+    assert {lo for lo, _, _ in bins} <= {-(BINS_LIMIT - 1), 0}
+    assert sum(c for _, _, c in bins) == summary["counts"]["LW"] + summary["counts"]["LL"]
+
+
+@pytest.mark.parametrize("below_file", [False, True], ids=["file", "below-file"])
+def test_simulate_bad_out(tmp_path, capsys, monkeypatch, below_file):
+    from elections import montecarlo
+
+    def never(*args, **kwargs):
+        raise AssertionError("simulated before the output directory was made")
+
+    monkeypatch.setattr(montecarlo, "run_batch", never)
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n")
+    out = blocker / "r" if below_file else blocker
+    code, stdout, err = run(["simulate", "--trials", "100", "--out", str(out)], capsys)
+    assert code == 1 and stdout == ""
+    assert len(err.splitlines()) == 1 and str(out) in err and "Traceback" not in err
+    assert blocker.read_text() == "keep\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+def test_simulate_csv_text(tmp_path, capsys, model, dataset):
+    """The CSVs are csv.writer renderings of the scalar records' values."""
+    from elections import run_batch
+
+    out = tmp_path / "r"
+    assert run(["simulate", "--trials", "3000", "--seed", "4", "--bins", "7",
+                "--out", str(out), "--emit-trials"], capsys)[0] == 0
+    summary = run_batch(model, dataset, trials=3000, seed=4, bin_width=7,
+                        keep_records=True)
+
+    def rendered(header, rows):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue().splitlines()
+
+    def lines(name):
+        return (out / name).read_text(encoding="utf-8").splitlines()
+
+    records = summary.records
+    assert lines("scatter_hs.csv") == rendered(
+        ["H", "S", "code"],
+        [(r.popular_winner_H, r.popular_winner_S, r.code) for r in records])
+    assert lines("california_scatter.csv") == rendered(
+        ["H", "S", "popular_winner", "carried_california"],
+        [(r.popular_winner_H, r.popular_winner_S, r.popular_winner,
+          int(r.carried_california)) for r in records])
+    assert lines("diff_histogram.csv") == rendered(
+        ["bin_lo", "bin_hi", "count"], summary.diff_histogram)
+    rows = list(csv.reader(io.StringIO((out / "trials.csv").read_text())))[1:]
+    table = summary.table
+    assert [int(r[0]) for r in rows] == [r.trial for r in records]
+    assert [r[2] for r in rows] == [repr(x) for x in table.dem_pop[table.ok].tolist()]
 
 
 @pytest.mark.parametrize("content", [None, "{not json", b"\xff\xfe", "{}", "[]"],

@@ -103,12 +103,17 @@ def test_records_match_per_trial_pipeline(model, dataset, summary_20k):
         assert mc.classify(t, trial=trial) == by_trial[trial]
 
 
-def test_table_chunk_invariance(model, dataset):
+def _with_chunk(monkeypatch, chunk, *args, **kwargs):
+    monkeypatch.setattr(mc, "_CHUNK", chunk)
+    return mc.run_batch(*args, **kwargs)
+
+
+def test_table_chunk_invariance(model, dataset, monkeypatch):
     # chunks of >= 2 rows only: a 1-row chunk may take numpy's matrix-vector
     # path in generate_shares_batch, whose last bit may differ
     # (see test_batch_generation_matches_single)
-    a = mc.run_batch(model, dataset, trials=5000, seed=3, chunk_size=4096).table
-    b = mc.run_batch(model, dataset, trials=5000, seed=3, chunk_size=777).table
+    a = _with_chunk(monkeypatch, 4096, model, dataset, trials=5000, seed=3).table
+    b = _with_chunk(monkeypatch, 777, model, dataset, trials=5000, seed=3).table
     for f in dataclasses.fields(mc.TrialTable):
         assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
 
@@ -119,9 +124,9 @@ def test_serial_parallel_bit_identical(model, dataset):
     assert serial.to_json() == parallel.to_json()
 
 
-def test_chunk_size_invariance(model, dataset):
-    a = mc.run_batch(model, dataset, trials=5000, seed=1, chunk_size=4096)
-    b = mc.run_batch(model, dataset, trials=5000, seed=1, chunk_size=777)
+def test_chunk_size_invariance(model, dataset, monkeypatch):
+    a = _with_chunk(monkeypatch, 4096, model, dataset, trials=5000, seed=1)
+    b = _with_chunk(monkeypatch, 777, model, dataset, trials=5000, seed=1)
     assert a.to_json() == b.to_json()
 
 
@@ -185,19 +190,28 @@ def test_summary_json_keys(summary_20k):
     assert set(d["diff_histogram"]) == {"bin_width", "bins"}
 
 
+def _rows(columns) -> list:
+    return list(zip(*(c.tolist() for c in columns)))
+
+
 def test_emit_figure_data(summary_20k):
-    table = summary_20k.table
-    header, rows = mc.emit_figure_data(table, "scatter_HS")
+    table, records = summary_20k.table, summary_20k.records
+    header, columns = mc.emit_figure_data(table, "scatter_HS")
     assert header == ["H", "S", "code"]
-    assert len(rows) == summary_20k.n_classified
-    header, rows = mc.emit_figure_data(table, "california_scatter")
-    assert len(rows) == summary_20k.n_classified
-    header, rows = mc.emit_figure_data(table, "trials")
-    by_trial = {r.trial: r for r in summary_20k.records}
-    for trial, code, dem_pop, rep_pop, h, s, diff, ca in rows:
-        rec = by_trial[trial]
-        assert (code, h, s, diff, ca) == (
-            rec.code, rec.popular_winner_H, rec.popular_winner_S,
+    assert all(isinstance(c, np.ndarray) for c in columns)
+    assert _rows(columns) == [(r.popular_winner_H, r.popular_winner_S, r.code)
+                              for r in records]
+    header, columns = mc.emit_figure_data(table, "california_scatter")
+    assert header == ["H", "S", "popular_winner", "carried_california"]
+    assert _rows(columns) == [(r.popular_winner_H, r.popular_winner_S, r.popular_winner,
+                               int(r.carried_california)) for r in records]
+    header, columns = mc.emit_figure_data(table, "trials")
+    assert len(header) == len(columns) == 8
+    rows = _rows(columns)
+    assert len(rows) == len(records) == summary_20k.n_classified
+    for (trial, code, dem_pop, rep_pop, h, s, diff, ca), rec in zip(rows, records):
+        assert (trial, code, h, s, diff, ca) == (
+            rec.trial, rec.code, rec.popular_winner_H, rec.popular_winner_S,
             rec.signed_electoral_diff, int(rec.carried_california))
         assert (dem_pop > rep_pop) == (rec.popular_winner == DEM)
 
@@ -205,8 +219,9 @@ def test_emit_figure_data(summary_20k):
 def test_emit_figure_data_errors(summary_20k):
     degenerate = make_table(1, tied_state=np.ones(1, bool))
     for kind in ("scatter_HS", "california_scatter", "trials"):
-        header, rows = mc.emit_figure_data(degenerate, kind)
-        assert header == mc.emit_figure_data(summary_20k.table, kind)[0] and rows == []
+        header, columns = mc.emit_figure_data(degenerate, kind)
+        assert header == mc.emit_figure_data(summary_20k.table, kind)[0]
+        assert len(columns) == len(header) and all(len(c) == 0 for c in columns)
     for kind in ("pie_chart", "diff_histogram"):  # the histogram is the summary's
         with pytest.raises(ValueError):
             mc.emit_figure_data(summary_20k.table, kind)
