@@ -1,6 +1,15 @@
 """Monte Carlo simulation of U.S. presidential elections (1964-2008 data)
 from a principal-components model of correlated state voting."""
 
+import os
+
+# One BLAS thread unless the user sets another count: the matrices are small,
+# and BLAS threads would compete with run_batch's thread pool for the CPUs.
+# This runs before the package first imports numpy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .dataset import (
     ElectionDataset,
     STATE_NAMES,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -27,6 +28,11 @@ WARN_ELECTIONS = 8
 # exclusive bounds of simulate's integer flags: a 10**8-trial table is ~3 GB, and
 # below them 2 * (436 + 51 k) and bin_width * (diff // bin_width) fit in int64
 TRIALS_LIMIT, K_LIMIT, BINS_LIMIT = 10**8, 10**16, 10**9
+# and --threads, the number of OS threads run_batch may start, is below
+THREADS_LIMIT = 256
+# write_csv looks up integer columns spanning fewer values than KEYED_RANGE
+# (H, S, diff, codes), formats the rest per row and writes SLICE_ROWS lines at a time
+KEYED_RANGE, SLICE_ROWS = 1 << 12, 1 << 16
 
 
 def _load(args, parser) -> ds.ElectionDataset:
@@ -80,12 +86,107 @@ def cmd_pca(args, parser) -> int:
     return 0
 
 
-def _write_csv(path: Path, header: list, columns) -> None:
-    """One CSV row per index of the equal-length numpy `columns`."""
+class _Echo:
+    """A file whose write returns its text, so csv.writer.writerow returns the line."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def _keyed(column) -> bool:
+    """Is the column looked up per distinct row?  Labels and integers spanning
+    fewer than KEYED_RANGE values are; floats and wider integers, such as
+    the trial number, are formatted per row."""
+    if isinstance(column, tuple):
+        return True
+    if column.dtype.kind in "iu":
+        return int(column.max()) - int(column.min()) < KEYED_RANGE
+    if column.dtype.kind == "f":
+        return False
+    raise TypeError(f"cannot write a {column.dtype} column; pass text as (index, labels)")
+
+
+def _relabel(key: np.ndarray, size: int, cap: int):
+    """(ids, d): the d distinct values of `key`, all in [0, size), as 0..d-1."""
+    if size > cap:
+        values, ids = np.unique(key, return_inverse=True)
+        return ids, len(values)
+    seen = np.zeros(size, bool)
+    seen[key] = True
+    return (np.cumsum(seen) - 1)[key], int(seen.sum())
+
+
+def _distinct_rows(columns, n: int):
+    """(ids, d): equal rows of the integer `columns` share one of d ids.
+
+    The mixed-radix key is relabelled through a presence table while its
+    range stays within a few times `n`, and by a sort only beyond that.
+    """
+    cap = 4 * n + (1 << 16)
+    ids, size = np.zeros(n, np.intp), 1
+    for column in columns:
+        column = column.astype(np.intp)   # a wrapped value still gives the right offset
+        offset = column - column.min()
+        radix = int(offset.max()) + 1
+        if size * radix > cap:
+            ids, size = _relabel(ids, size, cap)
+        ids, size = ids * radix + offset, size * radix
+    return _relabel(ids, size, cap)
+
+
+def _values(column, rows: np.ndarray) -> list:
+    if isinstance(column, tuple):
+        index, labels = column
+        return [labels[i] for i in index[rows].tolist()]
+    return column[rows].tolist()
+
+
+def write_csv(path: Path, header: list, columns) -> None:
+    """Write `header` and one CSV line per row of the equal-length `columns`.
+
+    A column is an integer or float numpy array, or an (index, labels)
+    pair standing for labels[index].  The text is what csv.writer writes for
+    the same rows.  Each run of repeating columns (see _keyed) is formatted
+    by csv.writer once per distinct row and looked up; the other columns are
+    formatted per row with repr, as csv.writer formats them.  Lines are
+    written SLICE_ROWS at a time, so the text of a file is never held whole.
+    """
+    n = len(columns[0][0] if isinstance(columns[0], tuple) else columns[0])
+    # the file's own terminator, cut from each line: csv.writer quotes a field
+    # holding "\n" only when "\n" is in its lineterminator
+    line = csv.writer(_Echo(), lineterminator="\n").writerow
+
+    def fmt(row) -> str:
+        return line(row)[:-1]
+
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*(c.tolist() for c in columns)))
+        f.write(fmt(header) + "\n")
+        if n == 0:
+            return
+        keyed = [_keyed(c) for c in columns]
+        ids, d = _distinct_rows([c[0] if isinstance(c, tuple) else c
+                                 for c, k in zip(columns, keyed) if k], n)
+        first = np.empty(d, np.intp)
+        first[ids] = np.arange(n)   # one row of each distinct id
+        # csv.writer renders a line of one empty field as "", and an empty
+        # field next to others as nothing: a run that is not the whole line
+        # is rendered with one more field, whose delimiter is then cut
+        whole = all(keyed)
+        parts = []   # per run of keyed columns its lookup table, else the column
+        for is_keyed, run in itertools.groupby(zip(keyed, columns), lambda kc: kc[0]):
+            run = [c for _, c in run]
+            if not is_keyed:
+                parts += [(None, c) for c in run]
+                continue
+            distinct = zip(*(_values(c, first) for c in run))
+            parts.append((np.array([fmt(r) if whole else fmt([*r, ""])[:-1] for r in distinct],
+                                   dtype=object), None))
+        for lo in range(0, n, SLICE_ROWS):
+            rows = slice(lo, lo + SLICE_ROWS)
+            fields = [lut[ids[rows]].tolist() if lut is not None
+                      else list(map(repr, column[rows].tolist())) for lut, column in parts]
+            f.write("\n".join(fields[0] if len(fields) == 1
+                              else map(",".join, zip(*fields))) + "\n")
 
 
 def cmd_simulate(args, parser) -> int:
@@ -109,9 +210,9 @@ def cmd_simulate(args, parser) -> int:
     if args.emit_trials:
         outputs.append(("trials", "trials.csv"))
     for kind, fname in outputs:
-        _write_csv(out_dir / fname, *mc.emit_figure_data(summary.table, kind))
-    _write_csv(out_dir / "diff_histogram.csv", ["bin_lo", "bin_hi", "count"],
-               np.array(summary.diff_histogram, dtype=np.int64).reshape(-1, 3).T)
+        write_csv(out_dir / fname, *mc.emit_figure_data(summary.table, kind))
+    write_csv(out_dir / "diff_histogram.csv", ["bin_lo", "bin_hi", "count"],
+              np.array(summary.diff_histogram, dtype=np.int64).reshape(-1, 3).T)
     print(f"trials={summary.trials} seed={summary.seed}")
     print(f"unpopular_full={summary.unpopular_full:.4f} "
           f"unpopular_house={summary.unpopular_house:.4f} "
@@ -210,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     p.add_argument("--trials", type=_at_least(1, TRIALS_LIMIT), default=20000)
     p.add_argument("--seed", type=_at_least(0, SEED_LIMIT), default=0)
-    p.add_argument("--threads", type=_at_least(1), default=1)
+    p.add_argument("--threads", type=_at_least(1, THREADS_LIMIT), default=1)
     p.add_argument("--bins", type=_at_least(1, BINS_LIMIT), default=mc.DEFAULT_BIN_WIDTH,
                    help="electoral-difference histogram bin width (default 20)")
     p.add_argument("--k-values", type=_at_least(0, K_LIMIT), nargs="+",

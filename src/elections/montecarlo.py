@@ -316,22 +316,23 @@ def _records(table: TrialTable) -> tuple:
 def emit_figure_data(table: TrialTable, which: str):
     """Tabular data behind the scatter figures and the per-trial records.
 
-    Returns (header, columns): one numpy array per header name over the
-    classified trials, in trial order.  `which` is one of scatter_HS,
-    california_scatter, trials.  The difference histogram is
+    Returns (header, columns) for cli.write_csv: one column per header name
+    over the classified trials, in trial order, each a numpy array or, for
+    the code and party letters, an (index, labels) pair.  `which` is one of
+    scatter_HS, california_scatter, trials.  The difference histogram is
     RunSummary.diff_histogram.
     """
     ok = table.ok
     hs = [table.pw_house[ok], table.senate_per_state * table.pw_states[ok]]
     if which == "scatter_HS":
-        return ["H", "S", "code"], [*hs, np.array(CODES)[table.codes()[ok]]]
-    carried = table.carried_ca[ok].astype(int)
+        return ["H", "S", "code"], [*hs, (table.codes()[ok], CODES)]
+    carried = table.carried_ca[ok].astype(np.int8)
     if which == "california_scatter":
         return (["H", "S", "popular_winner", "carried_california"],
-                [*hs, np.where(table.pw_dem[ok], DEM, REP), carried])
+                [*hs, (table.pw_dem[ok].astype(np.int8), (REP, DEM)), carried])
     if which == "trials":
         dem = table.dem_pop[ok]
         return (["trial", "code", "dem_pop", "rep_pop", "H", "S", "diff", "california"],
-                [np.flatnonzero(ok), np.array(CODES)[table.codes()[ok]], dem,
+                [np.flatnonzero(ok), (table.codes()[ok], CODES), dem,
                  table.total_pop - dem, *hs, table.diffs()[ok], carried])
     raise ValueError(f"unknown figure kind {which!r}")

@@ -6,7 +6,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elections.cli import BINS_LIMIT, K_LIMIT, TRIALS_LIMIT, main
+from elections.cli import (BINS_LIMIT, K_LIMIT, SLICE_ROWS, THREADS_LIMIT, TRIALS_LIMIT,
+                           build_parser, main, write_csv)
 
 
 def run(argv, capsys):
@@ -169,7 +170,8 @@ def test_simulate_usage_errors(tmp_path, capsys, args):
     assert not (tmp_path / "r").exists()
 
 
-# only invalid values: a positive --threads would start that many threads
+# only invalid values: a valid --threads would start that many threads, and one
+# at or above THREADS_LIMIT fails at parse time and starts none
 OUT_OF_RANGE = st.one_of(
     st.tuples(st.just("--trials"),
               st.integers(max_value=0) | st.integers(min_value=TRIALS_LIMIT)),
@@ -177,7 +179,8 @@ OUT_OF_RANGE = st.one_of(
     st.tuples(st.just("--bins"), st.integers(max_value=0) | st.integers(min_value=BINS_LIMIT)),
     st.tuples(st.just("--k-values"),
               st.integers(max_value=-1) | st.integers(min_value=K_LIMIT)),
-    st.tuples(st.just("--threads"), st.integers(max_value=0)),
+    st.tuples(st.just("--threads"),
+              st.integers(max_value=0) | st.integers(min_value=THREADS_LIMIT)),
 )
 
 
@@ -209,6 +212,11 @@ def test_simulate_largest_k_and_bins(tmp_path, capsys):
     assert sum(c for _, _, c in bins) == summary["counts"]["LW"] + summary["counts"]["LL"]
 
 
+def test_simulate_largest_threads_parses():
+    args = build_parser().parse_args(["simulate", "--threads", str(THREADS_LIMIT - 1)])
+    assert args.threads == THREADS_LIMIT - 1
+
+
 @pytest.mark.parametrize("below_file", [False, True], ids=["file", "below-file"])
 def test_simulate_bad_out(tmp_path, capsys, monkeypatch, below_file):
     from elections import montecarlo
@@ -228,39 +236,129 @@ def test_simulate_bad_out(tmp_path, capsys, monkeypatch, below_file):
 
 
 def test_simulate_csv_text(tmp_path, capsys, model, dataset):
-    """The CSVs are csv.writer renderings of the scalar records' values."""
+    """Every CSV line is csv.writer's rendering of the scalar records' values."""
+    for trials in (3000, 1, 2, 7):
+        _check_csv_text(tmp_path / str(trials), capsys, model, dataset, trials)
+
+
+def _check_csv_text(out, capsys, model, dataset, trials):
     from elections import run_batch
 
-    out = tmp_path / "r"
-    assert run(["simulate", "--trials", "3000", "--seed", "4", "--bins", "7",
+    assert run(["simulate", "--trials", str(trials), "--seed", "4", "--bins", "7",
                 "--out", str(out), "--emit-trials"], capsys)[0] == 0
-    summary = run_batch(model, dataset, trials=3000, seed=4, bin_width=7,
+    summary = run_batch(model, dataset, trials=trials, seed=4, bin_width=7,
                         keep_records=True)
 
-    def rendered(header, rows):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return buf.getvalue().splitlines()
+    def text(name):
+        return (out / name).read_bytes().decode("utf-8")
 
-    def lines(name):
-        return (out / name).read_text(encoding="utf-8").splitlines()
-
-    records = summary.records
-    assert lines("scatter_hs.csv") == rendered(
+    records, table = summary.records, summary.table
+    assert text("scatter_hs.csv") == rendered(
         ["H", "S", "code"],
         [(r.popular_winner_H, r.popular_winner_S, r.code) for r in records])
-    assert lines("california_scatter.csv") == rendered(
+    assert text("california_scatter.csv") == rendered(
         ["H", "S", "popular_winner", "carried_california"],
         [(r.popular_winner_H, r.popular_winner_S, r.popular_winner,
           int(r.carried_california)) for r in records])
-    assert lines("diff_histogram.csv") == rendered(
+    assert text("diff_histogram.csv") == rendered(
         ["bin_lo", "bin_hi", "count"], summary.diff_histogram)
-    rows = list(csv.reader(io.StringIO((out / "trials.csv").read_text())))[1:]
-    table = summary.table
-    assert [int(r[0]) for r in rows] == [r.trial for r in records]
-    assert [r[2] for r in rows] == [repr(x) for x in table.dem_pop[table.ok].tolist()]
+    dem_pop = table.dem_pop[table.ok].tolist()
+    assert len(dem_pop) == len(records) == trials
+    assert text("trials.csv") == rendered(
+        ["trial", "code", "dem_pop", "rep_pop", "H", "S", "diff", "california"],
+        [(r.trial, r.code, repr(d), repr(table.total_pop - d), r.popular_winner_H,
+          r.popular_winner_S, r.signed_electoral_diff, int(r.carried_california))
+         for r, d in zip(records, dem_pop)])
+    if trials == 7:   # no unpopular trial among them
+        assert text("diff_histogram.csv") == "bin_lo,bin_hi,count\n"
+
+
+def rendered(header, rows) -> str:
+    """csv.writer's text for header and rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+# columns of a few distinct values each: small and negative ints, int8, wide ints,
+# short texts as (index, labels), and floats with -0.0 and 17 digits
+FLOATS = st.sampled_from([-0.0, 0.1 + 0.2, 1 / 3, 1.2e8 + 1 / 7, 5e-324]) | st.floats()
+COLUMN_VALUES = st.one_of(
+    st.tuples(st.just("int"), st.lists(st.integers(-300, 300), min_size=1, max_size=6)),
+    st.tuples(st.just("int8"), st.lists(st.integers(-128, 127), min_size=1, max_size=6)),
+    st.tuples(st.just("int"), st.lists(st.integers(-2**63, 2**63 - 1), min_size=1,
+                                       max_size=6)),
+    st.tuples(st.just("float"), st.lists(FLOATS, min_size=1, max_size=6)),
+    st.tuples(st.just("text"), st.lists(
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=3),
+        min_size=1, max_size=6)),
+)
+
+
+def _table(specs, n, seed):
+    """write_csv columns of n rows drawn from each spec's values, and the rows."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    columns, values = [], []
+    for kind, pool in specs:
+        index = rng.integers(len(pool), size=n)
+        if kind == "text":
+            columns.append((index, tuple(pool)))
+            values.append([pool[i] for i in index.tolist()])
+        else:
+            dtype = {"int": np.int64, "int8": np.int8, "float": float}[kind]
+            columns.append(np.array(pool, dtype=dtype)[index])
+            values.append(columns[-1].tolist())
+    return columns, list(zip(*values))
+
+
+def _check_write_csv(path, specs, n, seed):
+    columns, rows = _table(specs, n, seed)
+    header = [f"c{i}" for i in range(len(columns))]
+    write_csv(path, header, columns)
+    assert path.read_bytes().decode("utf-8") == rendered(header, rows)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 50])
+@settings(max_examples=40, deadline=None)
+@given(st.lists(COLUMN_VALUES, min_size=1, max_size=5), st.integers(0, 2**32))
+def test_write_csv_matches_csv_writer(tmp_path_factory, n, specs, seed):
+    from unittest import mock
+
+    from elections import cli
+
+    # slices of 3 rows, so that n = 7 and 50 span several
+    with mock.patch.object(cli, "SLICE_ROWS", 3):
+        _check_write_csv(tmp_path_factory.getbasetemp() / "property.csv", specs, n, seed)
+
+
+def test_write_csv_above_one_slice(tmp_path):
+    specs = [("int", [0, 5000, -7]), ("text", ["", "WW", 'a,"b']), ("float", [-0.0, 0.1 + 0.2]),
+             ("int", [3, -2, 9]), ("text", ["", "x"])]
+    _check_write_csv(tmp_path / "big.csv", specs, SLICE_ROWS + 5, 0)
+
+
+def test_blas_threads_default_to_one():
+    """Importing elections sets one BLAS thread, unless the user chose a count."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import elections
+
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    src = str(Path(elections.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    probe = "import os, elections; print(*(os.environ[n] for n in %r))" % (names,)
+    for user, want in (({}, "1 1 1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3 1 1")):
+        out = subprocess.run([sys.executable, "-c", probe], env={**env, **user},
+                             capture_output=True, text=True, check=True).stdout
+        assert out.split() == want.split()
 
 
 @pytest.mark.parametrize("content", [None, "{not json", b"\xff\xfe", "{}", "[]"],

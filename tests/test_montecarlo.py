@@ -190,15 +190,24 @@ def test_summary_json_keys(summary_20k):
     assert set(d["diff_histogram"]) == {"bin_width", "bins"}
 
 
+def _values(column) -> list:
+    """A column's values; an (index, labels) pair stands for labels[index]."""
+    if isinstance(column, tuple):
+        index, labels = column
+        return [labels[i] for i in index.tolist()]
+    return column.tolist()
+
+
 def _rows(columns) -> list:
-    return list(zip(*(c.tolist() for c in columns)))
+    return list(zip(*map(_values, columns)))
 
 
 def test_emit_figure_data(summary_20k):
     table, records = summary_20k.table, summary_20k.records
     header, columns = mc.emit_figure_data(table, "scatter_HS")
     assert header == ["H", "S", "code"]
-    assert all(isinstance(c, np.ndarray) for c in columns)
+    assert all(isinstance(c, np.ndarray) for c in columns[:2])
+    assert columns[2][1] == mc.CODES
     assert _rows(columns) == [(r.popular_winner_H, r.popular_winner_S, r.code)
                               for r in records]
     header, columns = mc.emit_figure_data(table, "california_scatter")
@@ -216,12 +225,16 @@ def test_emit_figure_data(summary_20k):
         assert (dem_pop > rep_pop) == (rec.popular_winner == DEM)
 
 
-def test_emit_figure_data_errors(summary_20k):
+def test_emit_figure_data_errors(summary_20k, tmp_path):
+    from elections.cli import write_csv
+
     degenerate = make_table(1, tied_state=np.ones(1, bool))
     for kind in ("scatter_HS", "california_scatter", "trials"):
         header, columns = mc.emit_figure_data(degenerate, kind)
         assert header == mc.emit_figure_data(summary_20k.table, kind)[0]
-        assert len(columns) == len(header) and all(len(c) == 0 for c in columns)
+        assert len(columns) == len(header) and all(_values(c) == [] for c in columns)
+        write_csv(tmp_path / "empty.csv", header, columns)   # the header only
+        assert (tmp_path / "empty.csv").read_text() == ",".join(header) + "\n"
     for kind in ("pie_chart", "diff_histogram"):  # the histogram is the summary's
         with pytest.raises(ValueError):
             mc.emit_figure_data(summary_20k.table, kind)
