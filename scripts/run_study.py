@@ -12,15 +12,17 @@ import argparse
 import numpy as np
 
 from elections import fit_pca, load_bundled_dataset, run_batch, senate_sweep
+from elections.cli import THREADS_LIMIT, TRIALS_LIMIT, _at_least
 from elections.dataset import STATE_NAMES
+from elections.generator import SEED_LIMIT
 from elections.pca import variance_explained
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--trials", type=int, default=20000)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--trials", type=_at_least(1, TRIALS_LIMIT), default=20000)
+    ap.add_argument("--seed", type=_at_least(0, SEED_LIMIT), default=0)
+    ap.add_argument("--threads", type=_at_least(1, THREADS_LIMIT), default=1)
     args = ap.parse_args()
 
     data = load_bundled_dataset()

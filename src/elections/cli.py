@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -30,8 +29,9 @@ WARN_ELECTIONS = 8
 TRIALS_LIMIT, K_LIMIT, BINS_LIMIT = 10**8, 10**16, 10**9
 # and --threads, the number of OS threads run_batch may start, is below
 THREADS_LIMIT = 256
-# write_csv looks up integer columns spanning fewer values than KEYED_RANGE
-# (H, S, diff, codes), formats the rest per row and writes SLICE_ROWS lines at a time
+# write_csv looks up whole lines when a file holds only labels and integers with a
+# small key space; otherwise it looks up each label and each integer spanning fewer
+# values than KEYED_RANGE, and reprs the rest; it writes SLICE_ROWS lines at a time
 KEYED_RANGE, SLICE_ROWS = 1 << 12, 1 << 16
 
 
@@ -93,52 +93,41 @@ class _Echo:
         return text
 
 
-def _keyed(column) -> bool:
-    """Is the column looked up per distinct row?  Labels and integers spanning
-    fewer than KEYED_RANGE values are; floats and wider integers, such as
-    the trial number, are formatted per row."""
+def _formatter(column, label):
+    """rows -> the column's CSV fields there.  Labels and integers spanning fewer
+    than KEYED_RANGE values are looked up by offset, taken in intp, where a wrapped
+    value still gives the right one; floats and wider integers go through repr."""
     if isinstance(column, tuple):
-        return True
-    if column.dtype.kind in "iu":
-        return int(column.max()) - int(column.min()) < KEYED_RANGE
-    if column.dtype.kind == "f":
-        return False
-    raise TypeError(f"cannot write a {column.dtype} column; pass text as (index, labels)")
+        column, labels = column
+        lut, lo = np.array([label(v) for v in labels], dtype=object), np.intp(0)
+    elif (column.dtype.kind in "iu"
+          and int(hi := column.max()) - int(lo := column.min()) < KEYED_RANGE):
+        lut = np.array([str(v) for v in range(int(lo), int(hi) + 1)], dtype=object)
+    elif column.dtype.kind in "iuf":
+        return lambda rows: list(map(repr, column[rows].tolist()))
+    else:
+        raise TypeError(f"cannot write a {column.dtype} column; pass text as (index, labels)")
+    return lambda rows: lut[column[rows].astype(np.intp) - lo.astype(np.intp)].tolist()
 
 
-def _relabel(key: np.ndarray, size: int, cap: int):
-    """(ids, d): the d distinct values of `key`, all in [0, size), as 0..d-1."""
-    if size > cap:
-        values, ids = np.unique(key, return_inverse=True)
-        return ids, len(values)
+def _line_key(columns, n: int):
+    """(ids, d): equal rows share one of d ids, when every column is labels or
+    integers and their mixed-radix key fits a presence table; else None."""
+    key, size = np.zeros(n, np.intp), 1
+    for column in columns:
+        column = column[0] if isinstance(column, tuple) else column
+        if column.dtype.kind not in "iu":
+            return None
+        column = column.astype(np.intp)   # a wrapped value still gives the right offset
+        lo = int(column.min())
+        radix = int(column.max()) - lo + 1
+        size *= radix
+        if size > 4 * n + (1 << 16):
+            return None
+        key = key * radix + (column - lo)
     seen = np.zeros(size, bool)
     seen[key] = True
     return (np.cumsum(seen) - 1)[key], int(seen.sum())
-
-
-def _distinct_rows(columns, n: int):
-    """(ids, d): equal rows of the integer `columns` share one of d ids.
-
-    The mixed-radix key is relabelled through a presence table while its
-    range stays within a few times `n`, and by a sort only beyond that.
-    """
-    cap = 4 * n + (1 << 16)
-    ids, size = np.zeros(n, np.intp), 1
-    for column in columns:
-        column = column.astype(np.intp)   # a wrapped value still gives the right offset
-        offset = column - column.min()
-        radix = int(offset.max()) + 1
-        if size * radix > cap:
-            ids, size = _relabel(ids, size, cap)
-        ids, size = ids * radix + offset, size * radix
-    return _relabel(ids, size, cap)
-
-
-def _values(column, rows: np.ndarray) -> list:
-    if isinstance(column, tuple):
-        index, labels = column
-        return [labels[i] for i in index[rows].tolist()]
-    return column[rows].tolist()
 
 
 def write_csv(path: Path, header: list, columns) -> None:
@@ -146,9 +135,10 @@ def write_csv(path: Path, header: list, columns) -> None:
 
     A column is an integer or float numpy array, or an (index, labels)
     pair standing for labels[index].  The text is what csv.writer writes for
-    the same rows.  Each run of repeating columns (see _keyed) is formatted
-    by csv.writer once per distinct row and looked up; the other columns are
-    formatted per row with repr, as csv.writer formats them.  Lines are
+    the same rows.  Each file takes one of two ways: if its columns are all
+    labels and integers whose key space is small (see _line_key), each
+    distinct line is formatted once and looked up; otherwise each column is
+    formatted on its own (_formatter) and the fields joined.  Lines are
     written SLICE_ROWS at a time, so the text of a file is never held whole.
     """
     n = len(columns[0][0] if isinstance(columns[0], tuple) else columns[0])
@@ -163,30 +153,25 @@ def write_csv(path: Path, header: list, columns) -> None:
         f.write(fmt(header) + "\n")
         if n == 0:
             return
-        keyed = [_keyed(c) for c in columns]
-        ids, d = _distinct_rows([c[0] if isinstance(c, tuple) else c
-                                 for c, k in zip(columns, keyed) if k], n)
-        first = np.empty(d, np.intp)
-        first[ids] = np.arange(n)   # one row of each distinct id
-        # csv.writer renders a line of one empty field as "", and an empty
-        # field next to others as nothing: a run that is not the whole line
-        # is rendered with one more field, whose delimiter is then cut
-        whole = all(keyed)
-        parts = []   # per run of keyed columns its lookup table, else the column
-        for is_keyed, run in itertools.groupby(zip(keyed, columns), lambda kc: kc[0]):
-            run = [c for _, c in run]
-            if not is_keyed:
-                parts += [(None, c) for c in run]
-                continue
-            distinct = zip(*(_values(c, first) for c in run))
-            parts.append((np.array([fmt(r) if whole else fmt([*r, ""])[:-1] for r in distinct],
-                                   dtype=object), None))
+        # csv.writer quotes each label, and renders a line of one empty field
+        # as "" but an empty field next to others as nothing
+        def label(text) -> str:
+            return fmt([text]) if len(columns) == 1 else fmt([text, ""])[:-1]
+
+        formatters = [_formatter(c, label) for c in columns]
+
+        def lines(rows) -> list:
+            return list(map(",".join, zip(*(field(rows) for field in formatters))))
+
+        key = _line_key(columns, n)
+        if key is not None:
+            ids, d = key
+            first = np.empty(d, np.intp)
+            first[ids] = np.arange(n)   # one row of each distinct line
+            lut = np.array(lines(first), dtype=object)
         for lo in range(0, n, SLICE_ROWS):
             rows = slice(lo, lo + SLICE_ROWS)
-            fields = [lut[ids[rows]].tolist() if lut is not None
-                      else list(map(repr, column[rows].tolist())) for lut, column in parts]
-            f.write("\n".join(fields[0] if len(fields) == 1
-                              else map(",".join, zip(*fields))) + "\n")
+            f.write("\n".join(lines(rows) if key is None else lut[ids[rows]].tolist()) + "\n")
 
 
 def cmd_simulate(args, parser) -> int:

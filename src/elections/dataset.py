@@ -29,7 +29,6 @@ STATE_INDEX: dict[str, int] = {name: i for i, name in enumerate(STATE_NAMES)}
 
 N_STATES = 51
 N_YEARS = 12
-YEARS: tuple[int, ...] = tuple(range(1964, 2012, 4))
 
 HOUSE_TOTAL = 436          # 435 House seats + 1 for DC
 SENATE_PER_STATE = 2

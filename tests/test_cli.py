@@ -283,13 +283,16 @@ def rendered(header, rows) -> str:
 
 
 # columns of a few distinct values each: small and negative ints, int8, wide ints,
-# short texts as (index, labels), and floats with -0.0 and 17 digits
+# uint64 on both sides of 2**63, short texts as (index, labels), and floats with
+# -0.0 and 17 digits
 FLOATS = st.sampled_from([-0.0, 0.1 + 0.2, 1 / 3, 1.2e8 + 1 / 7, 5e-324]) | st.floats()
 COLUMN_VALUES = st.one_of(
     st.tuples(st.just("int"), st.lists(st.integers(-300, 300), min_size=1, max_size=6)),
     st.tuples(st.just("int8"), st.lists(st.integers(-128, 127), min_size=1, max_size=6)),
     st.tuples(st.just("int"), st.lists(st.integers(-2**63, 2**63 - 1), min_size=1,
                                        max_size=6)),
+    st.tuples(st.just("uint64"), st.lists(st.integers(2**63 - 3, 2**63 + 3), min_size=1,
+                                          max_size=6)),
     st.tuples(st.just("float"), st.lists(FLOATS, min_size=1, max_size=6)),
     st.tuples(st.just("text"), st.lists(
         st.text(st.characters(blacklist_categories=("Cs",)), max_size=3),
@@ -309,7 +312,8 @@ def _table(specs, n, seed):
             columns.append((index, tuple(pool)))
             values.append([pool[i] for i in index.tolist()])
         else:
-            dtype = {"int": np.int64, "int8": np.int8, "float": float}[kind]
+            dtype = {"int": np.int64, "int8": np.int8, "uint64": np.uint64,
+                     "float": float}[kind]
             columns.append(np.array(pool, dtype=dtype)[index])
             values.append(columns[-1].tolist())
     return columns, list(zip(*values))
@@ -339,6 +343,16 @@ def test_write_csv_above_one_slice(tmp_path):
     specs = [("int", [0, 5000, -7]), ("text", ["", "WW", 'a,"b']), ("float", [-0.0, 0.1 + 0.2]),
              ("int", [3, -2, 9]), ("text", ["", "x"])]
     _check_write_csv(tmp_path / "big.csv", specs, SLICE_ROWS + 5, 0)
+    # all-integer tables whose key space is the presence-table bound, 327,700 =
+    # 100 * 29 * 113 lines, so whole lines are looked up, and one value above it
+    from elections import cli
+
+    n = SLICE_ROWS + 5
+    bound = 4 * n + (1 << 16)
+    for top, whole in ((bound // 2900 - 8, True), (bound // 2900 - 7, False)):
+        specs = [("int", [0, 99, 42]), ("int8", [-1, 27, 5]), ("int", [-7, top, 3])]
+        assert (cli._line_key(_table(specs, n, 0)[0], n) is not None) == whole
+        _check_write_csv(tmp_path / "bound.csv", specs, n, 0)
 
 
 def test_blas_threads_default_to_one():
@@ -484,3 +498,21 @@ def test_malformed_csv_fails_cleanly(tmp_path_factory, target, mutations):
     lines = err.getvalue().splitlines()
     assert len(lines) <= 1 and "Traceback" not in err.getvalue()
     assert (code == 0) == (lines == [])
+
+
+@pytest.mark.parametrize("argv", [["--trials", "0"], ["--threads", "0"], ["--seed", "-1"],
+                                  ["--trials", str(10**20)]])
+def test_run_study_usage_errors(argv, capsys):
+    """scripts/run_study.py rejects out-of-range integers before running anything."""
+    import runpy
+    import sys
+    from pathlib import Path
+    from unittest import mock
+
+    script = Path(__file__).parents[1] / "scripts" / "run_study.py"
+    study = runpy.run_path(str(script), run_name="run_study")
+    with mock.patch.object(sys, "argv", ["run_study.py", *argv]), \
+            pytest.raises(SystemExit) as exc:
+        study["main"]()
+    assert exc.value.code == 2
+    assert f"argument {argv[0]}: must be in" in capsys.readouterr().err
