@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -29,9 +30,9 @@ WARN_ELECTIONS = 8
 TRIALS_LIMIT, K_LIMIT, BINS_LIMIT = 10**8, 10**16, 10**9
 # and --threads, the number of OS threads run_batch may start, is below
 THREADS_LIMIT = 256
-# write_csv looks up whole lines when a file holds only labels and integers with a
-# small key space; otherwise it looks up each label and each integer spanning fewer
-# values than KEYED_RANGE, and reprs the rest; it writes SLICE_ROWS lines at a time
+# write_csv looks up each label and each integer column whose max - min is below
+# KEYED_RANGE, and reprs the rest; whole lines are looked up when every column has a
+# lookup and their key space fits; it writes SLICE_ROWS lines at a time
 KEYED_RANGE, SLICE_ROWS = 1 << 12, 1 << 16
 
 
@@ -93,41 +94,19 @@ class _Echo:
         return text
 
 
-def _formatter(column, label):
-    """rows -> the column's CSV fields there.  Labels and integers spanning fewer
-    than KEYED_RANGE values are looked up by offset, taken in intp, where a wrapped
-    value still gives the right one; floats and wider integers go through repr."""
+def _lookup(column, label):
+    """(values, lo, fields): the column's field in row i is fields[values[i] - lo], the
+    offset taken in intp, where a wrapped value still gives the right one.  Labels and
+    integers whose max - min is below KEYED_RANGE have one; floats and wider integers,
+    which go through repr, have None."""
     if isinstance(column, tuple):
-        column, labels = column
-        lut, lo = np.array([label(v) for v in labels], dtype=object), np.intp(0)
-    elif (column.dtype.kind in "iu"
-          and int(hi := column.max()) - int(lo := column.min()) < KEYED_RANGE):
-        lut = np.array([str(v) for v in range(int(lo), int(hi) + 1)], dtype=object)
-    elif column.dtype.kind in "iuf":
-        return lambda rows: list(map(repr, column[rows].tolist()))
-    else:
+        return column[0], np.intp(0), np.array([label(v) for v in column[1]], dtype=object)
+    if column.dtype.kind not in "iuf":
         raise TypeError(f"cannot write a {column.dtype} column; pass text as (index, labels)")
-    return lambda rows: lut[column[rows].astype(np.intp) - lo.astype(np.intp)].tolist()
-
-
-def _line_key(columns, n: int):
-    """(ids, d): equal rows share one of d ids, when every column is labels or
-    integers and their mixed-radix key fits a presence table; else None."""
-    key, size = np.zeros(n, np.intp), 1
-    for column in columns:
-        column = column[0] if isinstance(column, tuple) else column
-        if column.dtype.kind not in "iu":
-            return None
-        column = column.astype(np.intp)   # a wrapped value still gives the right offset
-        lo = int(column.min())
-        radix = int(column.max()) - lo + 1
-        size *= radix
-        if size > 4 * n + (1 << 16):
-            return None
-        key = key * radix + (column - lo)
-    seen = np.zeros(size, bool)
-    seen[key] = True
-    return (np.cumsum(seen) - 1)[key], int(seen.sum())
+    if column.dtype.kind == "f" or int(hi := column.max()) - int(lo := column.min()) >= KEYED_RANGE:
+        return None
+    fields = np.array([str(v) for v in range(int(lo), int(hi) + 1)], dtype=object)
+    return column, lo.astype(np.intp), fields
 
 
 def write_csv(path: Path, header: list, columns) -> None:
@@ -135,11 +114,13 @@ def write_csv(path: Path, header: list, columns) -> None:
 
     A column is an integer or float numpy array, or an (index, labels)
     pair standing for labels[index].  The text is what csv.writer writes for
-    the same rows.  Each file takes one of two ways: if its columns are all
-    labels and integers whose key space is small (see _line_key), each
+    the same rows.  Labels and integers whose max - min is below KEYED_RANGE
+    are looked up (see _lookup), the rest go through repr.  If every
+    column has a lookup and their key space, the product of the lookup
+    sizes, fits a presence table of 4 * rows + 65,536 entries, each
     distinct line is formatted once and looked up; otherwise each column is
-    formatted on its own (_formatter) and the fields joined.  Lines are
-    written SLICE_ROWS at a time, so the text of a file is never held whole.
+    formatted on its own and the fields joined.  Lines are written
+    SLICE_ROWS at a time, so the text of a file is never held whole.
     """
     n = len(columns[0][0] if isinstance(columns[0], tuple) else columns[0])
     # the file's own terminator, cut from each line: csv.writer quotes a field
@@ -158,20 +139,32 @@ def write_csv(path: Path, header: list, columns) -> None:
         def label(text) -> str:
             return fmt([text]) if len(columns) == 1 else fmt([text, ""])[:-1]
 
-        formatters = [_formatter(c, label) for c in columns]
+        lookups = [_lookup(c, label) for c in columns]
+
+        def field(column, lookup, rows) -> list:
+            if lookup is None:
+                return list(map(repr, column[rows].tolist()))
+            values, lo, fields = lookup
+            return fields[values[rows].astype(np.intp) - lo].tolist()
 
         def lines(rows) -> list:
-            return list(map(",".join, zip(*(field(rows) for field in formatters))))
+            return list(map(",".join, zip(*(field(c, lk, rows)
+                                            for c, lk in zip(columns, lookups)))))
 
-        key = _line_key(columns, n)
-        if key is not None:
-            ids, d = key
-            first = np.empty(d, np.intp)
+        ids = None
+        if all(lookups) and (size := math.prod(len(f) for *_, f in lookups)) <= 4 * n + (1 << 16):
+            key = np.zeros(n, np.intp)   # each row's mixed-radix line key
+            for values, lo, fields in lookups:
+                key = key * len(fields) + (values.astype(np.intp) - lo)
+            seen = np.zeros(size, bool)
+            seen[key] = True
+            ids = (np.cumsum(seen) - 1)[key]   # equal lines share an id
+            first = np.empty(int(seen.sum()), np.intp)
             first[ids] = np.arange(n)   # one row of each distinct line
             lut = np.array(lines(first), dtype=object)
-        for lo in range(0, n, SLICE_ROWS):
-            rows = slice(lo, lo + SLICE_ROWS)
-            f.write("\n".join(lines(rows) if key is None else lut[ids[rows]].tolist()) + "\n")
+        for start in range(0, n, SLICE_ROWS):
+            rows = slice(start, start + SLICE_ROWS)
+            f.write("\n".join(lines(rows) if ids is None else lut[ids[rows]].tolist()) + "\n")
 
 
 def cmd_simulate(args, parser) -> int:
@@ -187,17 +180,22 @@ def cmd_simulate(args, parser) -> int:
     summary = mc.run_batch(model, data, trials=args.trials, seed=args.seed,
                            threads=args.threads, bin_width=args.bins)
     sweep = mc.senate_sweep(summary.table, k_values=args.k_values)
-    (out_dir / "run_summary.json").write_text(summary.to_json() + "\n")
-    (out_dir / "senate_sweep.json").write_text(
-        json.dumps(sweep.to_dict(), sort_keys=True, indent=2) + "\n")
     outputs = [("scatter_HS", "scatter_hs.csv"),
                ("california_scatter", "california_scatter.csv")]
     if args.emit_trials:
         outputs.append(("trials", "trials.csv"))
-    for kind, fname in outputs:
-        write_csv(out_dir / fname, *mc.emit_figure_data(summary.table, kind))
-    write_csv(out_dir / "diff_histogram.csv", ["bin_lo", "bin_hi", "count"],
-              np.array(summary.diff_histogram, dtype=np.int64).reshape(-1, 3).T)
+    try:
+        (out_dir / "run_summary.json").write_text(summary.to_json() + "\n")
+        (out_dir / "senate_sweep.json").write_text(
+            json.dumps(sweep.to_dict(), sort_keys=True, indent=2) + "\n")
+        for kind, fname in outputs:
+            write_csv(out_dir / fname, *mc.emit_figure_data(summary.table, kind))
+        write_csv(out_dir / "diff_histogram.csv", ["bin_lo", "bin_hi", "count"],
+                  np.array(summary.diff_histogram, dtype=np.int64).reshape(-1, 3).T)
+    except OSError as exc:
+        print(f"error: cannot write to {out_dir}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 1
     print(f"trials={summary.trials} seed={summary.seed}")
     print(f"unpopular_full={summary.unpopular_full:.4f} "
           f"unpopular_house={summary.unpopular_house:.4f} "

@@ -6,8 +6,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elections.cli import (BINS_LIMIT, K_LIMIT, SLICE_ROWS, THREADS_LIMIT, TRIALS_LIMIT,
-                           build_parser, main, write_csv)
+from elections.cli import (BINS_LIMIT, K_LIMIT, KEYED_RANGE, SLICE_ROWS, THREADS_LIMIT,
+                           TRIALS_LIMIT, build_parser, main, write_csv)
 
 
 def run(argv, capsys):
@@ -235,6 +235,16 @@ def test_simulate_bad_out(tmp_path, capsys, monkeypatch, below_file):
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
+@pytest.mark.parametrize("taken", ["run_summary.json", "trials.csv"])
+def test_simulate_unwritable_output(tmp_path, capsys, taken):
+    """An output file that cannot be opened is one stderr line and exit 1."""
+    (tmp_path / taken).mkdir()
+    code, stdout, err = run(["simulate", "--trials", "100", "--emit-trials",
+                             "--out", str(tmp_path)], capsys)
+    assert code == 1 and stdout == ""
+    assert len(err.splitlines()) == 1 and taken in err and "Traceback" not in err
+
+
 def test_simulate_csv_text(tmp_path, capsys, model, dataset):
     """Every CSV line is csv.writer's rendering of the scalar records' values."""
     for trials in (3000, 1, 2, 7):
@@ -344,15 +354,25 @@ def test_write_csv_above_one_slice(tmp_path):
              ("int", [3, -2, 9]), ("text", ["", "x"])]
     _check_write_csv(tmp_path / "big.csv", specs, SLICE_ROWS + 5, 0)
     # all-integer tables whose key space is the presence-table bound, 327,700 =
-    # 100 * 29 * 113 lines, so whole lines are looked up, and one value above it
-    from elections import cli
+    # 100 * 29 * 113 lines, so whole lines are looked up, and one value above it;
+    # and an integer column whose max - min is KEYED_RANGE - 1, which has a lookup,
+    # and one whose max - min is KEYED_RANGE, which has none, each in a table whose
+    # key space would fit
+    # (the presence table's np.cumsum runs only when whole lines are looked up)
+    from unittest import mock
+
+    import numpy as np
 
     n = SLICE_ROWS + 5
     bound = 4 * n + (1 << 16)
-    for top, whole in ((bound // 2900 - 8, True), (bound // 2900 - 7, False)):
-        specs = [("int", [0, 99, 42]), ("int8", [-1, 27, 5]), ("int", [-7, top, 3])]
-        assert (cli._line_key(_table(specs, n, 0)[0], n) is not None) == whole
-        _check_write_csv(tmp_path / "bound.csv", specs, n, 0)
+    cases = [([("int", [0, 99, 42]), ("int8", [-1, 27, 5]), ("int", [-7, top, 3])], whole)
+             for top, whole in ((bound // 2900 - 8, True), (bound // 2900 - 7, False))]
+    cases += [([("int", [0, top, 17]), ("text", ["", "x"])], whole)
+              for top, whole in ((KEYED_RANGE - 1, True), (KEYED_RANGE, False))]
+    for specs, whole in cases:
+        with mock.patch.object(np, "cumsum", wraps=np.cumsum) as presence:
+            _check_write_csv(tmp_path / "bound.csv", specs, n, 0)
+        assert presence.called == whole
 
 
 def test_blas_threads_default_to_one():
