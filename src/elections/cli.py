@@ -177,13 +177,18 @@ def cmd_simulate(args, parser) -> int:
         print(f"error: cannot create {out_dir}: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 1
-    summary = mc.run_batch(model, data, trials=args.trials, seed=args.seed,
-                           threads=args.threads, bin_width=args.bins)
-    sweep = mc.senate_sweep(summary.table, k_values=args.k_values)
     outputs = [("scatter_HS", "scatter_hs.csv"),
                ("california_scatter", "california_scatter.csv")]
     if args.emit_trials:
         outputs.append(("trials", "trials.csv"))
+    # a target that is there but is no file fails before anything is written
+    names = ["run_summary.json", "senate_sweep.json", *dict(outputs).values(), "diff_histogram.csv"]
+    if taken := [p for p in (out_dir / n for n in names) if p.exists() and not p.is_file()]:
+        print(f"error: cannot write {taken[0]}: not a regular file", file=sys.stderr)
+        return 1
+    summary = mc.run_batch(model, data, trials=args.trials, seed=args.seed,
+                           threads=args.threads, bin_width=args.bins)
+    sweep = mc.senate_sweep(summary.table, k_values=args.k_values)
     try:
         (out_dir / "run_summary.json").write_text(summary.to_json() + "\n")
         (out_dir / "senate_sweep.json").write_text(

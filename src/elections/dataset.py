@@ -87,7 +87,7 @@ class ElectionDataset:
     shares: np.ndarray          # (n_years, 51), float64
     turnout: np.ndarray         # (51,), int64
     house_electors: np.ndarray  # (51,), int64
-    senate_electors_base: int = SENATE_PER_STATE
+    senate_electors_base = SENATE_PER_STATE   # a class constant that perfbench reads
 
     def __post_init__(self):
         shares = np.asarray(self.shares, dtype=float)
@@ -116,9 +116,6 @@ class ElectionDataset:
             raise ElectorSumMismatch(
                 f"house electors sum to {int(house.sum())}, expected {HOUSE_TOTAL}"
             )
-        base = self.senate_electors_base
-        if isinstance(base, bool) or not isinstance(base, (int, np.integer)) or base < 0:
-            raise DatasetError(f"senate_electors_base must be an integer >= 0, got {base!r}")
         shares.flags.writeable = False
         turnout.flags.writeable = False
         house.flags.writeable = False
@@ -139,7 +136,6 @@ class ElectionDataset:
             shares=self.shares[keep].copy(),
             turnout=self.turnout.copy(),
             house_electors=self.house_electors.copy(),
-            senate_electors_base=self.senate_electors_base,
         )
 
 

@@ -1,13 +1,13 @@
 """Batches of simulated elections: one trial table and its reductions.
 
 Each trial is a pure function of (seed, trial_index).  One kernel draws a
-contiguous chunk of trials once and returns per-trial columns; the chunks
-are concatenated in trial order into a TrialTable, so serial, threaded and
-any-chunk-size runs give the same table.  Every output (the summary
-counters, the Senate sweep, the figure data and the per-trial records) is
-a reduction over that one table, so every elector rule sees the same noise
-per trial (paired comparison) and rule-to-rule differences are not
-inflated by sampling noise.
+contiguous chunk of trials once and returns the columns of its classified
+trials; the chunks are concatenated in trial order into a TrialTable, so
+serial, threaded and any-chunk-size runs give the same table.  Every output
+(the summary counters, the Senate sweep, the figure data and the per-trial
+records) is a reduction over that one table, so every elector rule sees the
+same noise per trial (paired comparison) and rule-to-rule differences are
+not inflated by sampling noise.
 
 Outcome codes: first letter is the popular winner's result with House and
 Senate electors (W above 269 of 538), second letter with House electors
@@ -15,10 +15,10 @@ alone (W above 218 of 436).  An election is unpopular when the popular
 winner fails to WIN, so an exact elector split counts as L for that
 letter; exact splits are additionally reported in separate counters
 (exact_full_splits / exact_house_splits), never silently dropped.  This
-keeps the Senate-sweep identities exact: the k=0 entry equals
-unpopular_house and the k=2 entry equals unpopular_full.  Per-state or
-exact popular-vote ties have probability zero under the continuous model
-and are counted as degenerate trials rather than resampled, since
+keeps the Senate-sweep identities (k=0 is unpopular_house, k=2 is
+unpopular_full) exact: both sides are TrialTable.unpopular(k).  Per-state or exact popular-vote ties have
+probability zero under the continuous model.  Such degenerate trials get no
+row; they are counted and listed by number, not resampled, since
 resampling would bias frequencies.
 """
 
@@ -33,7 +33,7 @@ import numpy as np
 from .dataset import CALIFORNIA, ElectionDataset
 from .generator import draw_noise_batch, generate_shares_batch
 from .pca import PcaModel
-from .tally import DEM, HOUSE_ONLY, REP, TallyResult, pool
+from .tally import DEM, FULL, HOUSE_ONLY, REP, STATES_WON, TallyResult, pool
 
 CODES = ("WW", "WL", "LW", "LL")
 
@@ -92,32 +92,29 @@ def classify(tally: TallyResult, trial: int = 0) -> OutcomeRecord:
 
 @dataclass(frozen=True)
 class TrialTable:
-    """Per-trial columns of trials 0..trials-1 of one seed, in trial order.
+    """One row per classified trial among trials 0..trials-1 of one seed, in order.
 
-    pw_* columns belong to the popular winner.  Rows flagged tied_state or
-    tied_popular are degenerate and enter no reduction.
+    pw_* columns belong to the popular winner.  A degenerate trial has no
+    row; tied_state and tied_popular list their trial numbers.
     """
 
     seed: int
+    trials: int
     house_total: int
     n_states: int
-    senate_per_state: int
     total_pop: float
-    tied_state: np.ndarray       # bool: some state's share is exactly 0.5
-    tied_popular: np.ndarray     # bool: popular vote split exactly, no state tie
+    tied_state: np.ndarray       # trials with some state's share exactly 0.5
+    tied_popular: np.ndarray     # trials with the popular vote split exactly, no state tie
     pw_dem: np.ndarray           # bool: the Democrat won the popular vote
     pw_house: np.ndarray
     pw_states: np.ndarray
     carried_ca: np.ndarray       # bool
     dem_pop: np.ndarray          # float
 
-    @property
-    def trials(self) -> int:
-        return len(self.dem_pop)
-
-    @property
-    def ok(self) -> np.ndarray:
-        return ~(self.tied_state | self.tied_popular)
+    def numbers(self) -> np.ndarray:
+        """Trial number of each row."""
+        return np.delete(np.arange(self.trials),
+                         np.concatenate([self.tied_state, self.tied_popular]))
 
     def margin(self, k: int | None) -> np.ndarray:
         """Popular winner's electors minus the rest in the pool of rule k
@@ -127,12 +124,16 @@ class TrialTable:
 
     def codes(self) -> np.ndarray:
         """Index into CODES per trial: 0=WW 1=WL 2=LW 3=LL."""
-        return 2 * (self.margin(self.senate_per_state) <= 0) + (self.margin(0) <= 0)
+        return 2 * (self.margin(FULL) <= 0) + (self.margin(HOUSE_ONLY) <= 0)
 
     def diffs(self) -> np.ndarray:
         """Democratic full electors minus Republican, per trial."""
-        full = self.margin(self.senate_per_state)
+        full = self.margin(FULL)
         return np.where(self.pw_dem, full, -full)
+
+    def unpopular(self, k: int | None) -> float:
+        """Share of rows whose popular winner fails to win the pool of rule k."""
+        return _rate(int((self.margin(k) <= 0).sum()), len(self.dem_pop))
 
 
 def trial_columns(model: PcaModel, dataset: ElectionDataset,
@@ -146,13 +147,16 @@ def trial_columns(model: PcaModel, dataset: ElectionDataset,
     dem_pop = (clamped * turnout).sum(axis=1)
     total_pop = turnout.sum()
     tied_state = np.any(clamped == 0.5, axis=1)
+    tied_popular = (dem_pop * 2 == total_pop) & ~tied_state
+    if not (keep := ~(tied_state | tied_popular)).all():
+        clamped, dem_pop = clamped[keep], dem_pop[keep]
     pw_dem = dem_pop * 2 > total_pop
     win = clamped > 0.5
     house_d = win @ dataset.house_electors
     states_d = win.sum(axis=1)
     return {
-        "tied_state": tied_state,
-        "tied_popular": (dem_pop * 2 == total_pop) & ~tied_state,
+        "tied_state": start + np.flatnonzero(tied_state),
+        "tied_popular": start + np.flatnonzero(tied_popular),
         "pw_dem": pw_dem,
         "pw_house": np.where(pw_dem, house_d, dataset.house_electors.sum() - house_d),
         "pw_states": np.where(pw_dem, states_d, len(dataset.house_electors) - states_d),
@@ -207,11 +211,10 @@ class RunSummary:
 def summarize(table: TrialTable, bin_width: int = DEFAULT_BIN_WIDTH,
               keep_records: bool = False) -> RunSummary:
     """Counters and frequencies over the classified trials of a table."""
-    ok = table.ok
-    n = int(ok.sum())
+    n = len(table.dem_pop)
 
     def count(mask) -> int:
-        return int((mask & ok).sum())
+        return int(mask.sum())
 
     codes = table.codes()
     counts = {name: count(codes == i) for i, name in enumerate(CODES)}
@@ -221,20 +224,20 @@ def summarize(table: TrialTable, bin_width: int = DEFAULT_BIN_WIDTH,
         n_classified=n,
         counts=counts,
         freq={c: _rate(counts[c], n) for c in CODES},
-        unpopular_full=_rate(counts["LW"] + counts["LL"], n),
-        unpopular_house=_rate(counts["WL"] + counts["LL"], n),
+        unpopular_full=table.unpopular(FULL),
+        unpopular_house=table.unpopular(HOUSE_ONLY),
         dem_win_rate=_rate(count(table.diffs() > 0), n),
-        states_won_unpopular=_rate(count(table.margin(None) <= 0), n),
-        diff_histogram=histogram(table.diffs()[ok & (codes >= 2)], bin_width),
+        states_won_unpopular=table.unpopular(STATES_WON),
+        diff_histogram=histogram(table.diffs()[codes >= 2], bin_width),
         bin_width=bin_width,
         california_crosstab={
             party: {"carried": count(is_party & table.carried_ca),
                     "missed": count(is_party & ~table.carried_ca)}
             for party, is_party in ((DEM, table.pw_dem), (REP, ~table.pw_dem))},
-        degenerate={"tied_state": int(table.tied_state.sum()),
-                    "tied_popular": int(table.tied_popular.sum())},
-        exact_full_splits=count(table.margin(table.senate_per_state) == 0),
-        exact_house_splits=count(table.margin(0) == 0),
+        degenerate={"tied_state": len(table.tied_state),
+                    "tied_popular": len(table.tied_popular)},
+        exact_full_splits=count(table.margin(FULL) == 0),
+        exact_house_splits=count(table.margin(HOUSE_ONLY) == 0),
         records=_records(table) if keep_records else None,
         table=table,
     )
@@ -260,9 +263,9 @@ def run_batch(model: PcaModel, dataset: ElectionDataset, trials: int, seed: int,
         parts = list(executor.map(work, starts))
     table = TrialTable(
         seed=seed,
+        trials=trials,
         house_total=int(dataset.house_electors.sum()),
         n_states=len(dataset.house_electors),
-        senate_per_state=dataset.senate_electors_base,
         total_pop=float(dataset.turnout.astype(float).sum()),
         **{name: np.concatenate([p[name] for p in parts]) for name in parts[0]})
     return summarize(table, bin_width, keep_records)
@@ -291,26 +294,21 @@ def senate_sweep(table: TrialTable, k_values=(0, 2, 10, 100)) -> SweepResult:
     unpopular_house and by_k[2] equals unpopular_full of the same table.
     A k < 0 raises ValueError (see tally.pool).
     """
-    ok = table.ok
-    n = int(ok.sum())
-    by_k = {int(k): _rate(int((ok & (table.margin(k) <= 0)).sum()), n)
-            for k in k_values}
-    limit = _rate(int((ok & (table.margin(None) <= 0)).sum()), n)
-    return SweepResult(trials=table.trials, seed=table.seed, by_k=by_k,
-                       states_won_limit=limit)
+    return SweepResult(trials=table.trials, seed=table.seed,
+                       by_k={int(k): table.unpopular(k) for k in k_values},
+                       states_won_limit=table.unpopular(STATES_WON))
 
 
 def _records(table: TrialTable) -> tuple:
     """OutcomeRecord view of the classified trials."""
-    ok = table.ok
     return tuple(
         OutcomeRecord(trial=t, code=CODES[c], popular_winner=DEM if dem else REP,
                       electoral_winner_full=DEM if d > 0 else REP if d < 0 else None,
                       signed_electoral_diff=d, popular_winner_H=h,
-                      popular_winner_S=table.senate_per_state * s, carried_california=ca)
+                      popular_winner_S=FULL * s, carried_california=ca)
         for t, c, dem, d, h, s, ca in zip(*(column.tolist() for column in (
-            np.flatnonzero(ok), table.codes()[ok], table.pw_dem[ok], table.diffs()[ok],
-            table.pw_house[ok], table.pw_states[ok], table.carried_ca[ok]))))
+            table.numbers(), table.codes(), table.pw_dem, table.diffs(),
+            table.pw_house, table.pw_states, table.carried_ca))))
 
 
 def emit_figure_data(table: TrialTable, which: str):
@@ -322,17 +320,15 @@ def emit_figure_data(table: TrialTable, which: str):
     scatter_HS, california_scatter, trials.  The difference histogram is
     RunSummary.diff_histogram.
     """
-    ok = table.ok
-    hs = [table.pw_house[ok], table.senate_per_state * table.pw_states[ok]]
+    hs = [table.pw_house, FULL * table.pw_states]
     if which == "scatter_HS":
-        return ["H", "S", "code"], [*hs, (table.codes()[ok], CODES)]
-    carried = table.carried_ca[ok].astype(np.int8)
+        return ["H", "S", "code"], [*hs, (table.codes(), CODES)]
+    carried = table.carried_ca.astype(np.int8)
     if which == "california_scatter":
         return (["H", "S", "popular_winner", "carried_california"],
-                [*hs, (table.pw_dem[ok].astype(np.int8), (REP, DEM)), carried])
+                [*hs, (table.pw_dem.astype(np.int8), (REP, DEM)), carried])
     if which == "trials":
-        dem = table.dem_pop[ok]
         return (["trial", "code", "dem_pop", "rep_pop", "H", "S", "diff", "california"],
-                [np.flatnonzero(ok), (table.codes()[ok], CODES), dem,
-                 table.total_pop - dem, *hs, table.diffs()[ok], carried])
+                [table.numbers(), (table.codes(), CODES), table.dem_pop,
+                 table.total_pop - table.dem_pop, *hs, table.diffs(), carried])
     raise ValueError(f"unknown figure kind {which!r}")

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import SENATE_PER_STATE
+
 DEM = "D"
 REP = "R"
 
@@ -27,7 +29,7 @@ class TiedState(TallyError):
 
 # Elector rules are the k of pool(): the full college, House electors
 # alone, and the k -> infinity limit in which most states carried wins.
-FULL = 2
+FULL = SENATE_PER_STATE
 HOUSE_ONLY = 0
 STATES_WON = None
 
@@ -82,7 +84,7 @@ def popular_totals(clamped: np.ndarray, turnout: np.ndarray) -> tuple[float, flo
 
 
 def electoral_totals(clamped, turnout, house_electors,
-                     senate_per_state: int = 2) -> TallyResult:
+                     senate_per_state: int = FULL) -> TallyResult:
     """Tally one share vector; the result answers any rule via TallyResult.totals."""
     clamped = np.asarray(clamped, dtype=float)
     house = np.asarray(house_electors, dtype=np.int64)

@@ -135,7 +135,8 @@ def test_simulate_emit_trials(tmp_path, capsys):
     code, _, _ = run(["simulate", "--trials", "50", "--seed", "0",
                       "--out", str(out_dir), "--emit-trials"], capsys)
     assert code == 0
-    rows = list(csv.reader(open(out_dir / "trials.csv")))
+    with open(out_dir / "trials.csv", newline="") as f:
+        rows = list(csv.reader(f))
     assert rows[0] == ["trial", "code", "dem_pop", "rep_pop", "H", "S",
                        "diff", "california"]
     assert len(rows) == 51  # header + 50 classified trials
@@ -236,13 +237,21 @@ def test_simulate_bad_out(tmp_path, capsys, monkeypatch, below_file):
 
 
 @pytest.mark.parametrize("taken", ["run_summary.json", "trials.csv"])
-def test_simulate_unwritable_output(tmp_path, capsys, taken):
-    """An output file that cannot be opened is one stderr line and exit 1."""
+def test_simulate_unwritable_output(tmp_path, capsys, monkeypatch, taken):
+    """An output target that is not a regular file is one stderr line and exit 1,
+    found before simulating, so nothing is written."""
+    from elections import montecarlo
+
+    def never(*args, **kwargs):
+        raise AssertionError("simulated though an output cannot be written")
+
+    monkeypatch.setattr(montecarlo, "run_batch", never)
     (tmp_path / taken).mkdir()
     code, stdout, err = run(["simulate", "--trials", "100", "--emit-trials",
                              "--out", str(tmp_path)], capsys)
     assert code == 1 and stdout == ""
     assert len(err.splitlines()) == 1 and taken in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == [taken]
 
 
 def test_simulate_csv_text(tmp_path, capsys, model, dataset):
@@ -272,7 +281,7 @@ def _check_csv_text(out, capsys, model, dataset, trials):
           int(r.carried_california)) for r in records])
     assert text("diff_histogram.csv") == rendered(
         ["bin_lo", "bin_hi", "count"], summary.diff_histogram)
-    dem_pop = table.dem_pop[table.ok].tolist()
+    dem_pop = table.dem_pop.tolist()
     assert len(dem_pop) == len(records) == trials
     assert text("trials.csv") == rendered(
         ["trial", "code", "dem_pop", "rep_pop", "H", "S", "diff", "california"],

@@ -20,10 +20,12 @@ def make_tally(dem_house, dem_states, dem_pop=6.0e7, rep_pop=5.9e7,
 
 
 def make_table(n, **columns):
-    """Hand-built TrialTable of n identical WW trials, overridden by columns."""
-    base = dict(seed=0, house_total=436, n_states=51, senate_per_state=2,
-                total_pop=1.2e8, tied_state=np.zeros(n, bool),
-                tied_popular=np.zeros(n, bool), pw_dem=np.ones(n, bool),
+    """Hand-built TrialTable of n identical WW trials and no degenerate one,
+    overridden by columns."""
+    none = np.zeros(0, np.intp)
+    base = dict(seed=0, trials=n, house_total=436, n_states=51,
+                total_pop=1.2e8, tied_state=none, tied_popular=none,
+                pw_dem=np.ones(n, bool),
                 pw_house=np.full(n, 300), pw_states=np.full(n, 30),
                 carried_ca=np.ones(n, bool), dem_pop=np.full(n, 6.1e7))
     return mc.TrialTable(**{**base, **columns})
@@ -159,8 +161,7 @@ def test_run_batch_rejects_zero_trials(model, dataset):
 
 
 def test_all_degenerate_table_reductions():
-    table = make_table(3, tied_state=np.array([True, True, False]),
-                       tied_popular=np.array([False, False, True]))
+    table = make_table(0, trials=3, tied_state=np.array([0, 1]), tied_popular=np.array([2]))
     s = mc.summarize(table)
     assert s.trials == 3 and s.n_classified == 0
     assert s.degenerate == {"tied_state": 2, "tied_popular": 1}
@@ -170,6 +171,43 @@ def test_all_degenerate_table_reductions():
     assert s.diff_histogram == []
     sw = mc.senate_sweep(table)
     assert set(sw.by_k.values()) == {0.0} and sw.states_won_limit == 0.0
+
+
+def test_trial_numbers_skip_degenerate_trials():
+    # trials 1 and 3 are degenerate; rows 0..2 are trials 0, 2 and 4, and the
+    # popular winner loses the full college in trial 2 only
+    table = make_table(3, trials=5, tied_state=np.array([1]), tied_popular=np.array([3]),
+                       pw_house=np.array([300, 200, 300]))
+    assert table.numbers().tolist() == [0, 2, 4]
+    header, columns = mc.emit_figure_data(table, "trials")
+    assert _values(columns[header.index("trial")]) == [0, 2, 4]
+    s = mc.summarize(table, keep_records=True)
+    assert [(r.trial, r.code) for r in s.records] == [(0, "WW"), (2, "LL"), (4, "WW")]
+    assert (s.trials, s.n_classified) == (5, 3)
+    assert s.degenerate == {"tied_state": 1, "tied_popular": 1}
+    sw = mc.senate_sweep(table, k_values=(0, 2, 10**6))
+    assert sw.by_k == {0: 1 / 3, 2: 1 / 3, 10**6: 0.0}
+    assert sw.states_won_limit == 0.0 == s.states_won_unpopular
+    assert (s.unpopular_house, s.unpopular_full) == (1 / 3, 1 / 3)
+
+
+def test_kernel_drops_degenerate_trials(model, dataset, monkeypatch):
+    """The first trial of each chunk is made a state tie: it gets no row,
+    and the other rows are those of the untouched run."""
+    clean = _with_chunk(monkeypatch, 3, model, dataset, trials=8, seed=5).table
+    original = mc.generate_shares_batch
+
+    def tie_first_row(*args):
+        shares = original(*args)
+        shares[0, 0] = 0.5
+        return shares
+
+    monkeypatch.setattr(mc, "generate_shares_batch", tie_first_row)
+    table = _with_chunk(monkeypatch, 3, model, dataset, trials=8, seed=5).table
+    assert table.tied_state.tolist() == [0, 3, 6] and table.tied_popular.tolist() == []
+    assert table.trials == 8 and table.numbers().tolist() == [1, 2, 4, 5, 7]
+    for name in ("pw_dem", "pw_house", "pw_states", "carried_ca", "dem_pop"):
+        assert np.array_equal(getattr(table, name), getattr(clean, name)[table.numbers()])
 
 
 def test_summary_json_round_trip(summary_20k):
@@ -228,7 +266,7 @@ def test_emit_figure_data(summary_20k):
 def test_emit_figure_data_errors(summary_20k, tmp_path):
     from elections.cli import write_csv
 
-    degenerate = make_table(1, tied_state=np.ones(1, bool))
+    degenerate = make_table(0, trials=1, tied_state=np.array([0]))
     for kind in ("scatter_HS", "california_scatter", "trials"):
         header, columns = mc.emit_figure_data(degenerate, kind)
         assert header == mc.emit_figure_data(summary_20k.table, kind)[0]
