@@ -39,12 +39,20 @@ class SimulatedShares:
 SEED_LIMIT = 1 << 128  # Philox keys are 128 bits
 
 
-def _normals(words: np.ndarray) -> np.ndarray:
-    """Box-Muller normals from 64-bit words, (radius, angle) pairs along the last axis."""
-    u = ((words >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53  # in (0, 1]
-    r = np.sqrt(-2.0 * np.log(u[..., 0::2]))
-    theta = 2.0 * np.pi * u[..., 1::2]
-    return np.stack((r * np.cos(theta), r * np.sin(theta)), axis=-1).reshape(u.shape)
+def _normals(u: np.ndarray, size: int) -> np.ndarray:
+    """The first `size` Box-Muller normals of each row of uniforms in (0, 1],
+    (radius, angle) pairs along the row: ceil(size/2) cosines, size//2 sines."""
+    n_cos, n_sin = (size + 1) // 2, size // 2
+    # in place: temporaries taken anew on every chunk cost page faults
+    r = np.log(u[:, 0:2 * n_cos:2])
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = np.multiply(u[:, 1:2 * n_cos:2], 2.0 * np.pi)
+    sin = np.sin(theta[:, :n_sin])
+    z = np.empty((len(u), size))
+    np.multiply(r, np.cos(theta, out=theta), out=z[:, 0::2])
+    np.multiply(r[:, :n_sin], sin, out=z[:, 1::2])
+    return z
 
 
 def draw_noise_batch(seed: int, start: int, count: int, size: int = 11) -> np.ndarray:
@@ -58,8 +66,10 @@ def draw_noise_batch(seed: int, start: int, count: int, size: int = 11) -> np.nd
     blocks = -(-size // 4)
     bitgen = np.random.Philox(key=seed)  # raises ValueError unless 0 <= seed < SEED_LIMIT
     bitgen.advance(blocks * start)
-    words = bitgen.random_raw(4 * blocks * count).reshape(count, 4 * blocks)
-    return _normals(words)[:, :size]
+    # Generator.random is (w >> 11) * 2**-53; the sum below is exact
+    u = np.random.Generator(bitgen).random((count, 4 * blocks))
+    u += 2.0 ** -53
+    return _normals(u, size)
 
 
 def draw_noise(seed: int, trial_index: int, size: int = 11) -> np.ndarray:
@@ -83,11 +93,16 @@ def generate_shares(model: PcaModel, noise) -> SimulatedShares:
     return SimulatedShares(raw=raw, clamped=clamped)
 
 
-def generate_shares_batch(model: PcaModel, z: np.ndarray) -> np.ndarray:
-    """Raw share matrix (n_trials, 51) for a batch of noise rows."""
+def generate_shares_batch(model: PcaModel, z: np.ndarray, out=None) -> np.ndarray:
+    """Raw share matrix (n_trials, 51) for a batch of noise rows, written to out if given."""
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[1] != model.n_components:
         raise DimensionMismatch(
             f"noise batch has shape {z.shape}, model has {model.n_components} components"
         )
-    return model.mean + (z * np.sqrt(model.eigenvalues)) @ model.eigenvectors
+    scaled = z * np.sqrt(model.eigenvalues)
+    if len(z) == 1:  # numpy's matrix-vector path may round differently
+        raw = (np.repeat(scaled, 2, axis=0) @ model.eigenvectors)[:1]
+    else:
+        raw = np.matmul(scaled, model.eigenvectors, out=out)
+    return np.add(raw, model.mean, out=raw if out is None else out)

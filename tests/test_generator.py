@@ -101,14 +101,36 @@ def test_generation_is_affine(t1, t2):
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+def _uniforms(words):
+    """The contract's uniform ((w >> 11) + 1) * 2**-53 of each 64-bit word."""
+    return ((words >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
+
+
 def test_edge_words_give_finite_normals():
     lo, hi = 0, 2**64 - 1
-    z = gen._normals(np.array([lo, lo, lo, hi, hi, lo, hi, hi], dtype=np.uint64))
+    words = np.array([[lo, lo, lo, hi, hi, lo, hi, hi]], dtype=np.uint64)
+    z = gen._normals(_uniforms(words), 8)[0]
     # every z is finite only if no uniform is 0 (log 0) or above 1 (a negative
     # radius square); word 0 is the smallest uniform 2**-53, word 2**64-1 is 1
     assert z.shape == (8,) and np.all(np.isfinite(z))
     assert np.allclose(np.hypot(z[0:4:2], z[1:4:2]), np.sqrt(-2 * np.log(2.0 ** -53)))
     assert np.all(z[4:] == 0.0)
+
+
+def test_draw_follows_the_word_contract():
+    # trial t owns Philox counters [b t, b (t + 1)); its words, made uniform,
+    # give Box-Muller pairs (r cos theta, r sin theta), of which `size` are kept
+    start, count = 1001, 64
+    for size in (1, 11, 12, 19):
+        blocks = -(-size // 4)
+        bitgen = np.random.Philox(key=2**100 + 5)
+        bitgen.advance(blocks * start)
+        u = _uniforms(bitgen.random_raw(4 * blocks * count).reshape(count, 4 * blocks))
+        r = np.sqrt(-2.0 * np.log(u[:, 0::2]))
+        theta = 2.0 * np.pi * u[:, 1::2]
+        pairs = np.stack((r * np.cos(theta), r * np.sin(theta)), axis=-1).reshape(u.shape)
+        assert np.array_equal(gen.draw_noise_batch(2**100 + 5, start, count, size),
+                              pairs[:, :size])
 
 
 def test_import_does_not_load_scipy():

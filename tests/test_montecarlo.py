@@ -111,13 +111,42 @@ def _with_chunk(monkeypatch, chunk, *args, **kwargs):
 
 
 def test_table_chunk_invariance(model, dataset, monkeypatch):
-    # chunks of >= 2 rows only: a 1-row chunk may take numpy's matrix-vector
-    # path in generate_shares_batch, whose last bit may differ
-    # (see test_batch_generation_matches_single)
     a = _with_chunk(monkeypatch, 4096, model, dataset, trials=5000, seed=3).table
-    b = _with_chunk(monkeypatch, 777, model, dataset, trials=5000, seed=3).table
-    for f in dataclasses.fields(mc.TrialTable):
-        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+    for chunk in (777, 1):
+        b = _with_chunk(monkeypatch, chunk, model, dataset, trials=5000, seed=3).table
+        for f in dataclasses.fields(mc.TrialTable):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), (chunk, f.name)
+
+
+def test_one_row_last_chunk_matches_longer_run(model, dataset, monkeypatch):
+    # trial 2048 of seed 4 is drawn alone in the last chunk; numpy's
+    # matrix-vector product rounds its dem_pop differently from a matrix one
+    short = _with_chunk(monkeypatch, 2048, model, dataset, trials=2049, seed=4).table
+    long = _with_chunk(monkeypatch, 2048, model, dataset, trials=2100, seed=4).table
+    for name in ("pw_dem", "pw_house", "pw_states", "carried_ca", "dem_pop"):
+        assert np.array_equal(getattr(short, name), getattr(long, name)[:2049]), name
+
+
+def test_kernel_columns_do_not_view_reused_buffers(model, dataset):
+    first = mc.trial_columns(model, dataset, 3, 0, 300)
+    kept = {name: column.copy() for name, column in first.items()}
+    mc.trial_columns(model, dataset, 4, 5000, 300)
+    buffers = vars(mc._local).values()
+    assert buffers
+    for name, column in first.items():
+        assert np.array_equal(column, kept[name]), name
+        assert not any(np.shares_memory(column, buf) for buf in buffers), name
+
+
+def test_electors_won_is_exact(dataset):
+    house = dataset.house_electors
+    random = np.random.default_rng(0).random((1000, 51)) < 0.5
+    for win in (random, np.ones((2, 51), bool), np.zeros((2, 51), bool)):
+        h, s = mc._electors_won(win, house)
+        assert h.dtype == s.dtype == np.int64
+        assert np.array_equal(h, win @ house) and np.array_equal(s, win.sum(axis=1))
+    assert mc._electors_won(np.ones((1, 51), bool), house).tolist() == [[436], [51]]
+    assert mc._electors_won(np.zeros((1, 51), bool), house).tolist() == [[0], [0]]
 
 
 def test_serial_parallel_bit_identical(model, dataset):
@@ -197,8 +226,8 @@ def test_kernel_drops_degenerate_trials(model, dataset, monkeypatch):
     clean = _with_chunk(monkeypatch, 3, model, dataset, trials=8, seed=5).table
     original = mc.generate_shares_batch
 
-    def tie_first_row(*args):
-        shares = original(*args)
+    def tie_first_row(*args, **kwargs):
+        shares = original(*args, **kwargs)
         shares[0, 0] = 0.5
         return shares
 
