@@ -25,8 +25,10 @@ resampling would bias frequencies.
 from __future__ import annotations
 
 import json
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -40,7 +42,7 @@ CODES = ("WW", "WL", "LW", "LL")
 
 DEFAULT_BIN_WIDTH = 20
 _CHUNK = 2048   # a (chunk, 51) float64 array fits in a 2 MB L2 cache
-_local = threading.local()   # each thread's _scratch buffers
+_local = threading.local()   # each thread's _scratch buffers and its unpin mask
 
 
 class MonteCarloError(Exception):
@@ -262,6 +264,12 @@ def summarize(table: TrialTable, bin_width: int = DEFAULT_BIN_WIDTH,
     )
 
 
+def _pin(cpus) -> None:
+    """Run the calling thread on `cpus` if the OS agrees: only a hint."""
+    with suppress(OSError):
+        os.sched_setaffinity(0, cpus)
+
+
 def run_batch(model: PcaModel, dataset: ElectionDataset, trials: int, seed: int,
               threads: int = 1, bin_width: int = DEFAULT_BIN_WIDTH,
               keep_records: bool = False) -> RunSummary:
@@ -274,11 +282,23 @@ def run_batch(model: PcaModel, dataset: ElectionDataset, trials: int, seed: int,
     if bin_width < 1:
         raise ValueError(f"bin_width must be >= 1, got {bin_width}")
     starts = range(0, trials, _CHUNK)
+    # Linux keeps threads that wake each other through the GIL on one CPU, so
+    # each pool thread runs its first chunk on its own CPU of this one's mask.
+    mask = (sorted(os.sched_getaffinity(0))
+            if threads > 1 and hasattr(os, "sched_setaffinity") else [])
+    cpus = iter(mask * threads)   # round-robin; next() is atomic under the GIL
+
+    def place():
+        _pin({next(cpus)})
+        _local.unpin = mask
 
     def work(start):
-        return trial_columns(model, dataset, seed, start, min(_CHUNK, trials - start))
+        columns = trial_columns(model, dataset, seed, start, min(_CHUNK, trials - start))
+        if unpin := vars(_local).pop("unpin", None):
+            _pin(unpin)
+        return columns
 
-    with ThreadPoolExecutor(max_workers=threads) as executor:
+    with ThreadPoolExecutor(threads, initializer=place if mask else None) as executor:
         parts = list(executor.map(work, starts))
     table = TrialTable(
         seed=seed,
