@@ -30,10 +30,8 @@ WARN_ELECTIONS = 8
 TRIALS_LIMIT, K_LIMIT, BINS_LIMIT = 10**8, 10**16, 10**9
 # and --threads, the number of OS threads run_batch may start, is below
 THREADS_LIMIT = 256
-# write_csv looks up each label and each integer column whose max - min is below
-# KEYED_RANGE, and reprs the rest; whole lines are looked up when every column has a
-# lookup and their key space fits; it writes SLICE_ROWS lines at a time
-KEYED_RANGE, SLICE_ROWS = 1 << 12, 1 << 16
+# write_csv writes SLICE_ROWS lines at a time
+SLICE_ROWS = 1 << 16
 
 
 def _load(args, parser) -> ds.ElectionDataset:
@@ -87,84 +85,48 @@ def cmd_pca(args, parser) -> int:
     return 0
 
 
-class _Echo:
-    """A file whose write returns its text, so csv.writer.writerow returns the line."""
-
-    def write(self, text: str) -> str:
-        return text
-
-
-def _lookup(column, label):
-    """(values, lo, fields): the column's field in row i is fields[values[i] - lo], the
-    offset taken in intp, where a wrapped value still gives the right one.  Labels and
-    integers whose max - min is below KEYED_RANGE have one; floats and wider integers,
-    which go through repr, have None."""
-    if isinstance(column, tuple):
-        return column[0], np.intp(0), np.array([label(v) for v in column[1]], dtype=object)
-    if column.dtype.kind not in "iuf":
-        raise TypeError(f"cannot write a {column.dtype} column; pass text as (index, labels)")
-    if column.dtype.kind == "f" or int(hi := column.max()) - int(lo := column.min()) >= KEYED_RANGE:
-        return None
-    fields = np.array([str(v) for v in range(int(lo), int(hi) + 1)], dtype=object)
-    return column, lo.astype(np.intp), fields
-
-
 def write_csv(path: Path, header: list, columns) -> None:
     """Write `header` and one CSV line per row of the equal-length `columns`.
 
-    A column is an integer or float numpy array, or an (index, labels)
-    pair standing for labels[index].  The text is what csv.writer writes for
-    the same rows.  Labels and integers whose max - min is below KEYED_RANGE
-    are looked up (see _lookup), the rest go through repr.  If every
-    column has a lookup and their key space, the product of the lookup
-    sizes, fits a presence table of 4 * rows + 65,536 entries, each
-    distinct line is formatted once and looked up; otherwise each column is
-    formatted on its own and the fields joined.  Lines are written
-    SLICE_ROWS at a time, so the text of a file is never held whole.
+    A column is a numpy array, written with repr, or an (index, fields)
+    pair standing for fields[index], where fields covers the column's whole
+    range and no field needs CSV quoting; the text is what csv.writer writes
+    for the same rows.  When every column is a pair, a row's mixed-radix key
+    over the pairs indexes a table of every possible line, and each distinct
+    line is formatted once; otherwise each column's fields are looked up or
+    repr'd and joined.  Lines are written SLICE_ROWS at a time, so the text
+    of a file is never held whole.
     """
     n = len(columns[0][0] if isinstance(columns[0], tuple) else columns[0])
-    # the file's own terminator, cut from each line: csv.writer quotes a field
-    # holding "\n" only when "\n" is in its lineterminator
-    line = csv.writer(_Echo(), lineterminator="\n").writerow
+    columns = [(c[0], np.array(c[1], dtype=object)) if isinstance(c, tuple) else c
+               for c in columns]
 
-    def fmt(row) -> str:
-        return line(row)[:-1]
+    def field(column, rows) -> list:
+        if isinstance(column, tuple):
+            index, fields = column
+            return fields[index[rows]].tolist()
+        return list(map(repr, column[rows].tolist()))
+
+    def lines(rows) -> list:
+        return list(map(",".join, zip(*(field(c, rows) for c in columns))))
+
+    table = None
+    if all(isinstance(c, tuple) for c in columns):
+        key = np.zeros(n, np.intp)
+        for index, fields in columns:
+            key = key * len(fields) + index
+        # one row of each line that occurs: equal keys mean equal lines
+        first = np.full(math.prod(len(fields) for _, fields in columns), -1)
+        first[key] = np.arange(n)
+        seen = np.flatnonzero(first >= 0)
+        table = np.empty(len(first), dtype=object)
+        table[seen] = lines(first[seen])
 
     with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(fmt(header) + "\n")
-        if n == 0:
-            return
-        # csv.writer quotes each label, and renders a line of one empty field
-        # as "" but an empty field next to others as nothing
-        def label(text) -> str:
-            return fmt([text]) if len(columns) == 1 else fmt([text, ""])[:-1]
-
-        lookups = [_lookup(c, label) for c in columns]
-
-        def field(column, lookup, rows) -> list:
-            if lookup is None:
-                return list(map(repr, column[rows].tolist()))
-            values, lo, fields = lookup
-            return fields[values[rows].astype(np.intp) - lo].tolist()
-
-        def lines(rows) -> list:
-            return list(map(",".join, zip(*(field(c, lk, rows)
-                                            for c, lk in zip(columns, lookups)))))
-
-        ids = None
-        if all(lookups) and (size := math.prod(len(f) for *_, f in lookups)) <= 4 * n + (1 << 16):
-            key = np.zeros(n, np.intp)   # each row's mixed-radix line key
-            for values, lo, fields in lookups:
-                key = key * len(fields) + (values.astype(np.intp) - lo)
-            seen = np.zeros(size, bool)
-            seen[key] = True
-            ids = (np.cumsum(seen) - 1)[key]   # equal lines share an id
-            first = np.empty(int(seen.sum()), np.intp)
-            first[ids] = np.arange(n)   # one row of each distinct line
-            lut = np.array(lines(first), dtype=object)
+        f.write(",".join(header) + "\n")
         for start in range(0, n, SLICE_ROWS):
             rows = slice(start, start + SLICE_ROWS)
-            f.write("\n".join(lines(rows) if ids is None else lut[ids[rows]].tolist()) + "\n")
+            f.write("\n".join(lines(rows) if table is None else table[key[rows]].tolist()) + "\n")
 
 
 def cmd_simulate(args, parser) -> int:

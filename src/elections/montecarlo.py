@@ -354,20 +354,26 @@ def emit_figure_data(table: TrialTable, which: str):
     """Tabular data behind the scatter figures and the per-trial records.
 
     Returns (header, columns) for cli.write_csv: one column per header name
-    over the classified trials, in trial order, each a numpy array or, for
-    the code and party letters, an (index, labels) pair.  `which` is one of
-    scatter_HS, california_scatter, trials.  The difference histogram is
-    RunSummary.diff_histogram.
+    over the classified trials, in trial order.  Every bounded column is an
+    (index, fields) pair whose fields cover its whole range, which the
+    table's House and state counts fix: H, S, diff, the code, the party and
+    California's 0/1.  The trial number and the popular votes are numpy
+    arrays.  `which` is one of scatter_HS, california_scatter, trials.  The
+    difference histogram is RunSummary.diff_histogram.
     """
-    hs = [table.pw_house, FULL * table.pw_states]
+    hs = [(table.pw_house, tuple(map(str, range(table.house_total + 1)))),
+          (table.pw_states, tuple(str(FULL * s) for s in range(table.n_states + 1)))]
+    carried = (table.carried_ca.view(np.int8), ("0", "1"))
     if which == "scatter_HS":
         return ["H", "S", "code"], [*hs, (table.codes(), CODES)]
-    carried = table.carried_ca.astype(np.int8)
     if which == "california_scatter":
         return (["H", "S", "popular_winner", "carried_california"],
-                [*hs, (table.pw_dem.astype(np.int8), (REP, DEM)), carried])
+                [*hs, (table.pw_dem.view(np.int8), (REP, DEM)), carried])
     if which == "trials":
+        electors = pool(table.house_total, table.n_states, FULL)
         return (["trial", "code", "dem_pop", "rep_pop", "H", "S", "diff", "california"],
                 [table.numbers(), (table.codes(), CODES), table.dem_pop,
-                 table.total_pop - table.dem_pop, *hs, table.diffs(), carried])
+                 table.total_pop - table.dem_pop, *hs,
+                 (table.diffs() + electors, tuple(map(str, range(-electors, electors + 1)))),
+                 carried])
     raise ValueError(f"unknown figure kind {which!r}")

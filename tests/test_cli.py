@@ -6,8 +6,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elections.cli import (BINS_LIMIT, K_LIMIT, KEYED_RANGE, SLICE_ROWS, THREADS_LIMIT,
-                           TRIALS_LIMIT, build_parser, main, write_csv)
+from elections.cli import (BINS_LIMIT, K_LIMIT, SLICE_ROWS, THREADS_LIMIT, TRIALS_LIMIT,
+                           build_parser, main, write_csv)
 
 
 def run(argv, capsys):
@@ -301,21 +301,17 @@ def rendered(header, rows) -> str:
     return buf.getvalue()
 
 
-# columns of a few distinct values each: small and negative ints, int8, wide ints,
-# uint64 on both sides of 2**63, short texts as (index, labels), and floats with
-# -0.0 and 17 digits
+# columns of a few distinct values each: (index, fields) pairs of short texts
+# that need no quoting, int64 arrays over their whole range, and float arrays
+# with -0.0 and 17 digits
 FLOATS = st.sampled_from([-0.0, 0.1 + 0.2, 1 / 3, 1.2e8 + 1 / 7, 5e-324]) | st.floats()
+FIELDS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n'),
+                 min_size=1, max_size=3)
 COLUMN_VALUES = st.one_of(
-    st.tuples(st.just("int"), st.lists(st.integers(-300, 300), min_size=1, max_size=6)),
-    st.tuples(st.just("int8"), st.lists(st.integers(-128, 127), min_size=1, max_size=6)),
+    st.tuples(st.just("pair"), st.lists(FIELDS, min_size=1, max_size=6)),
     st.tuples(st.just("int"), st.lists(st.integers(-2**63, 2**63 - 1), min_size=1,
                                        max_size=6)),
-    st.tuples(st.just("uint64"), st.lists(st.integers(2**63 - 3, 2**63 + 3), min_size=1,
-                                          max_size=6)),
     st.tuples(st.just("float"), st.lists(FLOATS, min_size=1, max_size=6)),
-    st.tuples(st.just("text"), st.lists(
-        st.text(st.characters(blacklist_categories=("Cs",)), max_size=3),
-        min_size=1, max_size=6)),
 )
 
 
@@ -327,22 +323,28 @@ def _table(specs, n, seed):
     columns, values = [], []
     for kind, pool in specs:
         index = rng.integers(len(pool), size=n)
-        if kind == "text":
+        if kind == "pair":
             columns.append((index, tuple(pool)))
             values.append([pool[i] for i in index.tolist()])
         else:
-            dtype = {"int": np.int64, "int8": np.int8, "uint64": np.uint64,
-                     "float": float}[kind]
-            columns.append(np.array(pool, dtype=dtype)[index])
+            columns.append(np.array(pool, dtype={"int": np.int64, "float": float}[kind])[index])
             values.append(columns[-1].tolist())
     return columns, list(zip(*values))
 
 
 def _check_write_csv(path, specs, n, seed):
+    """The file is csv.writer's text, and only an all-pair file takes the
+    whole-line path, the one that looks up which lines occur."""
+    from unittest import mock
+
+    import numpy as np
+
     columns, rows = _table(specs, n, seed)
     header = [f"c{i}" for i in range(len(columns))]
-    write_csv(path, header, columns)
+    with mock.patch.object(np, "flatnonzero", wraps=np.flatnonzero) as whole_line:
+        write_csv(path, header, columns)
     assert path.read_bytes().decode("utf-8") == rendered(header, rows)
+    assert whole_line.called == all(kind == "pair" for kind, _ in specs)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 50])
@@ -359,29 +361,9 @@ def test_write_csv_matches_csv_writer(tmp_path_factory, n, specs, seed):
 
 
 def test_write_csv_above_one_slice(tmp_path):
-    specs = [("int", [0, 5000, -7]), ("text", ["", "WW", 'a,"b']), ("float", [-0.0, 0.1 + 0.2]),
-             ("int", [3, -2, 9]), ("text", ["", "x"])]
-    _check_write_csv(tmp_path / "big.csv", specs, SLICE_ROWS + 5, 0)
-    # all-integer tables whose key space is the presence-table bound, 327,700 =
-    # 100 * 29 * 113 lines, so whole lines are looked up, and one value above it;
-    # and an integer column whose max - min is KEYED_RANGE - 1, which has a lookup,
-    # and one whose max - min is KEYED_RANGE, which has none, each in a table whose
-    # key space would fit
-    # (the presence table's np.cumsum runs only when whole lines are looked up)
-    from unittest import mock
-
-    import numpy as np
-
-    n = SLICE_ROWS + 5
-    bound = 4 * n + (1 << 16)
-    cases = [([("int", [0, 99, 42]), ("int8", [-1, 27, 5]), ("int", [-7, top, 3])], whole)
-             for top, whole in ((bound // 2900 - 8, True), (bound // 2900 - 7, False))]
-    cases += [([("int", [0, top, 17]), ("text", ["", "x"])], whole)
-              for top, whole in ((KEYED_RANGE - 1, True), (KEYED_RANGE, False))]
-    for specs, whole in cases:
-        with mock.patch.object(np, "cumsum", wraps=np.cumsum) as presence:
-            _check_write_csv(tmp_path / "bound.csv", specs, n, 0)
-        assert presence.called == whole
+    pairs = [("pair", ["0", "436", "-538"]), ("pair", ["WW", "D"]), ("pair", ["x"])]
+    for specs in (pairs, pairs + [("float", [-0.0, 0.1 + 0.2]), ("int", [3, -2, 10**8])]):
+        _check_write_csv(tmp_path / "big.csv", specs, SLICE_ROWS + 5, 0)
 
 
 def test_blas_threads_default_to_one():

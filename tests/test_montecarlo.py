@@ -344,27 +344,80 @@ def _rows(columns) -> list:
     return list(zip(*map(_values, columns)))
 
 
+FIELD_COUNTS = {"H": 437, "S": 52, "diff": 1077, "code": 4, "popular_winner": 2,
+                "carried_california": 2, "california": 2}
+
+
+def _field_counts(table) -> dict:
+    """{header name: {number of fields}} of the (index, fields) pairs of the
+    three figure files; the other columns are numpy arrays."""
+    counts = {}
+    for kind in ("scatter_HS", "california_scatter", "trials"):
+        for name, column in zip(*mc.emit_figure_data(table, kind)):
+            if isinstance(column, tuple):
+                counts.setdefault(name, set()).add(len(column[1]))
+            else:
+                assert name in ("trial", "dem_pop", "rep_pop")
+                assert isinstance(column, np.ndarray)
+    return counts
+
+
 def test_emit_figure_data(summary_20k):
+    """Each pair's fields cover its whole range, whatever the table holds."""
+    for table in (summary_20k.table, make_table(1)):
+        assert _field_counts(table) == {name: {n} for name, n in FIELD_COUNTS.items()}
     table, records = summary_20k.table, summary_20k.records
     header, columns = mc.emit_figure_data(table, "scatter_HS")
     assert header == ["H", "S", "code"]
-    assert all(isinstance(c, np.ndarray) for c in columns[:2])
     assert columns[2][1] == mc.CODES
-    assert _rows(columns) == [(r.popular_winner_H, r.popular_winner_S, r.code)
+    assert _rows(columns) == [(str(r.popular_winner_H), str(r.popular_winner_S), r.code)
                               for r in records]
     header, columns = mc.emit_figure_data(table, "california_scatter")
     assert header == ["H", "S", "popular_winner", "carried_california"]
-    assert _rows(columns) == [(r.popular_winner_H, r.popular_winner_S, r.popular_winner,
-                               int(r.carried_california)) for r in records]
+    assert _rows(columns) == [(str(r.popular_winner_H), str(r.popular_winner_S), r.popular_winner,
+                               str(int(r.carried_california))) for r in records]
     header, columns = mc.emit_figure_data(table, "trials")
     assert len(header) == len(columns) == 8
     rows = _rows(columns)
     assert len(rows) == len(records) == summary_20k.n_classified
     for (trial, code, dem_pop, rep_pop, h, s, diff, ca), rec in zip(rows, records):
         assert (trial, code, h, s, diff, ca) == (
-            rec.trial, rec.code, rec.popular_winner_H, rec.popular_winner_S,
-            rec.signed_electoral_diff, int(rec.carried_california))
+            rec.trial, rec.code, str(rec.popular_winner_H), str(rec.popular_winner_S),
+            str(rec.signed_electoral_diff), str(int(rec.carried_california)))
         assert (dem_pop > rep_pop) == (rec.popular_winner == DEM)
+
+
+def test_figure_files_at_the_ends_of_each_range(tmp_path):
+    """Rows at both ends of H, S and diff, with both parties, both California
+    values and all four codes, are written as csv.writer writes their values."""
+    import csv
+    import io
+
+    from elections.cli import write_csv
+
+    # pw_house, pw_states, pw_dem, carried_ca, and the code and diff they give
+    rows = [(436, 51, True, True, "WW", 538), (0, 0, True, False, "LL", -538),
+            (436, 51, False, False, "WW", -538), (0, 0, False, True, "LL", 538),
+            (200, 51, True, True, "WL", 66), (250, 0, False, False, "LW", 38)]
+    house, states, dem, ca, codes, diffs = (np.array(c) for c in zip(*rows))
+    table = make_table(len(rows), trials=len(rows) + 1, tied_popular=np.array([2]),
+                       pw_house=house, pw_states=states, pw_dem=dem, carried_ca=ca,
+                       dem_pop=np.where(dem, 6.1e7, 5.9e7))
+    party, s = np.where(dem, DEM, REP), 2 * states
+    ca, rep_pop = ca.astype(int), table.total_pop - table.dem_pop
+    expected = {
+        "scatter_HS": zip(house, s, codes),
+        "california_scatter": zip(house, s, party, ca),
+        "trials": zip([0, 1, 3, 4, 5, 6], codes, map(repr, table.dem_pop.tolist()),
+                      map(repr, rep_pop.tolist()), house, s, diffs, ca)}
+    for kind, values in expected.items():
+        header, columns = mc.emit_figure_data(table, kind)
+        write_csv(tmp_path / "edges.csv", header, columns)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, *values])
+        assert (tmp_path / "edges.csv").read_text() == buf.getvalue()
+    assert [mc.CODES[c] for c in table.codes()] == codes.tolist()
+    assert table.diffs().tolist() == diffs.tolist()
 
 
 def test_emit_figure_data_errors(summary_20k, tmp_path):
