@@ -37,4 +37,10 @@ done
 # one more row than a whole number of chunks, then two chunks and one row
 simulate t2049_s6 --trials 2049 --seed 6
 simulate t6145_s20 --trials 6145 --seed 20
+# every bundled turnout divided by 7, so that dem_pop and rep_pop in trials.csv
+# fall on both sides of 10**7, where their rendering changes method
+data="$tree/src/elections/data"
+awk -F, -v OFS=, 'NR > 1 { $2 = int($2 / 7) } 1' "$data/structure_2008.csv" > "$out/structure_div7.csv"
+simulate t20000_s3_div7 --trials 20000 --seed 3 \
+    --shares "$data/elections_1964_2008.csv" --structure "$out/structure_div7.csv"
 run scenario > "$out/scenario.txt"

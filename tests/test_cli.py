@@ -1,7 +1,9 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -315,6 +317,10 @@ COLUMN_VALUES = st.one_of(
 )
 
 
+# a new file name per write: truncating a file just written can take tens of ms
+_WRITES = itertools.count()
+
+
 def _table(specs, n, seed):
     """write_csv columns of n rows drawn from each spec's values, and the rows."""
     import numpy as np
@@ -334,14 +340,14 @@ def _table(specs, n, seed):
 
 def _check_write_csv(path, specs, n, seed):
     """The file is csv.writer's text, and only an all-pair file takes the
-    whole-line path, the one that looks up which lines occur."""
+    whole-line path, the one that renders each distinct line once."""
     from unittest import mock
 
-    import numpy as np
+    from elections import cli
 
     columns, rows = _table(specs, n, seed)
     header = [f"c{i}" for i in range(len(columns))]
-    with mock.patch.object(np, "flatnonzero", wraps=np.flatnonzero) as whole_line:
+    with mock.patch.object(cli, "_line_table", wraps=cli._line_table) as whole_line:
         write_csv(path, header, columns)
     assert path.read_bytes().decode("utf-8") == rendered(header, rows)
     assert whole_line.called == all(kind == "pair" for kind, _ in specs)
@@ -357,13 +363,79 @@ def test_write_csv_matches_csv_writer(tmp_path_factory, n, specs, seed):
 
     # slices of 3 rows, so that n = 7 and 50 span several
     with mock.patch.object(cli, "SLICE_ROWS", 3):
-        _check_write_csv(tmp_path_factory.getbasetemp() / "property.csv", specs, n, seed)
+        _check_write_csv(tmp_path_factory.getbasetemp() / f"property{next(_WRITES)}.csv",
+                         specs, n, seed)
 
 
 def test_write_csv_above_one_slice(tmp_path):
     pairs = [("pair", ["0", "436", "-538"]), ("pair", ["WW", "D"]), ("pair", ["x"])]
     for specs in (pairs, pairs + [("float", [-0.0, 0.1 + 0.2]), ("int", [3, -2, 10**8])]):
         _check_write_csv(tmp_path / "big.csv", specs, SLICE_ROWS + 5, 0)
+
+
+# floats that write_csv renders from their bits, in [1e7, 2**53): powers of two,
+# integers, 17-significant-digit values and 2**e + (2k + 1) * 2**-t, whose
+# fraction ends in 5 at digit t, so that when 2**(52 - e) < 10**(t - 1) both
+# (t - 1)-digit neighbours read back and repr takes the even one
+FAST = st.floats(1e7, 2.0**53, exclude_max=True)
+TIES = st.integers(23, 52).flatmap(lambda e: st.integers(1, max(52 - e, 1)).flatmap(
+    lambda t: st.integers(0, 2**(t - 1) - 1).map(lambda k: 2.0**e + (2 * k + 1) / 2**t)))
+RENDERED = st.one_of(
+    FAST, TIES, st.integers(0, 60).map(lambda e: 2.0**e),
+    st.integers(10**7, 2**53 - 1).map(float),
+    FAST.filter(lambda x: len(repr(x)) == 18),
+    st.sampled_from([1e7, 2.0**53 - 1, 2.0**53 - 0.5, 10**7 + 2**-29, 2.0**23]))
+# and the values around them, which go through repr; below 10**7, as in 1e7 / 3,
+# 17 significant digits can take 10 fraction digits
+REPRD = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -1e7, -2.0**52 - 0.5,
+                     1e7 / 3, math.nextafter(1e7, 0), 2.0**53, 2.0**53 + 2, 1e16,
+                     1.7976931348623157e308]),
+    st.floats(1e6, 1e7, exclude_max=True), st.floats(max_value=1e7, exclude_max=True),
+    st.floats(min_value=2.0**53))
+
+
+def _written(directory, columns) -> list:
+    """The lines write_csv writes for columns, without the header."""
+    path = directory / f"written{next(_WRITES)}.csv"
+    write_csv(path, [f"c{i}" for i in range(len(columns))], columns)
+    return path.read_bytes().decode("utf-8").split("\n")[1:-1]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.one_of(RENDERED, REPRD), min_size=1, max_size=30))
+def test_float_column_is_repr(tmp_path_factory, values):
+    """A float column, mixing rendered and repr'd rows, is repr's text."""
+    import numpy as np
+
+    assert _written(tmp_path_factory.getbasetemp(), [np.array(values)]) == list(map(repr, values))
+
+
+def test_float_edges_and_ties(tmp_path):
+    """Halfway ties go to the even digit; each edge of [1e7, 2**53) is repr's."""
+    import numpy as np
+
+    values = [2.0**43 + 1 / 16, 2.0**43 + 3 / 16, 2.0**44 + 1 / 32, 1e7, math.nextafter(1e7, 0),
+              2.0**53 - 1, 2.0**53, 2.0**52, 2.0**52 + 1, 2.0**24, 12345678.5, 10**7 + 2**-29,
+              99999999.99999999, 1e7 / 3, math.nan, -0.0]
+    assert _written(tmp_path, [np.array(values)]) == [
+        "8796093022208.062", "8796093022208.188", "17592186044416.03", "10000000.0",
+        "9999999.999999998", "9007199254740991.0", "9007199254740992.0", "4503599627370496.0",
+        "4503599627370497.0", "16777216.0", "12345678.5", "10000000.000000002",
+        "99999999.99999999", "3333333.3333333335", "nan", "-0.0"]
+
+
+def test_int64_edges_and_non_ascii_fields(tmp_path):
+    import numpy as np
+
+    ints = np.array([-2**63, 2**63 - 1, 0, -1, 10**4, -9999], dtype=np.int64)
+    fields = ("é", "中文", "\U0001f5f3", "x\x00y", "")
+    index = np.array([0, 1, 2, 3, 4, 0])
+    rows = list(zip(ints.tolist(), [fields[i] for i in index.tolist()], [1e8 + 0.1] * 6))
+    assert _written(tmp_path, [ints, (index, fields), np.full(6, 1e8 + 0.1)]) == \
+        rendered(["c0", "c1", "c2"], rows).split("\n")[1:-1]
+    assert _written(tmp_path, [(index, fields), (index[::-1], fields)]) == \
+        [f"{fields[i]},{fields[j]}" for i, j in zip(index.tolist(), index[::-1].tolist())]
 
 
 def test_blas_threads_default_to_one():
