@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Write the standing outputs of one source tree: every simulate file at the
-# standing configurations, plus scenario and report stdout.  Two trees that
-# should behave the same are compared with `diff -r` on their output dirs:
+# standing configurations, plus pca, scenario and report stdout.  Two trees
+# that should behave the same are compared with `diff -r` on their output dirs:
 #
 #   scripts/standing_outputs.sh OLD_TREE old_out
 #   scripts/standing_outputs.sh NEW_TREE new_out
@@ -38,9 +38,12 @@ done
 simulate t2049_s6 --trials 2049 --seed 6
 simulate t6145_s20 --trials 6145 --seed 20
 # every bundled turnout divided by 7, so that dem_pop and rep_pop in trials.csv
-# fall on both sides of 10**7, where their rendering changes method
+# fall on both sides of 2**23, where their rendering changes method, and of
+# 10**7, where their integer part gains an eighth digit
 data="$tree/src/elections/data"
 awk -F, -v OFS=, 'NR > 1 { $2 = int($2 / 7) } 1' "$data/structure_2008.csv" > "$out/structure_div7.csv"
 simulate t20000_s3_div7 --trials 20000 --seed 3 \
     --shares "$data/elections_1964_2008.csv" --structure "$out/structure_div7.csv"
+run pca > "$out/pca.json"
+run pca --loadings 1 > "$out/pca_loadings1.csv"
 run scenario > "$out/scenario.txt"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
+import os
 import sys
 from pathlib import Path
 
@@ -31,7 +31,7 @@ TRIALS_LIMIT, K_LIMIT, BINS_LIMIT = 10**8, 10**16, 10**9
 # and --threads, the number of OS threads run_batch may start, is below
 THREADS_LIMIT = 256
 # write_csv renders and writes SLICE_ROWS lines at a time: a slice's blocks then
-# stay in the cache, and the byte matrix is read in row order quickly
+# stay in the cache, and its byte matrix is copied into row order quickly
 SLICE_ROWS = 1 << 13
 
 
@@ -90,11 +90,12 @@ def cmd_pca(args, parser) -> int:
 DIGITS = (np.arange(10**4) // 10 ** np.arange(3, -1, -1)[:, None] % 10 + 48).astype(np.uint8)
 POW10 = 10 ** np.arange(20, dtype=np.uint64)
 # floats in [FAST_LO, FAST_HI) are rendered from their bits, the rest by repr
-FAST_LO, FAST_HI = 1e7, 2.0**53
+FAST_LO, FAST_HI = 2.0**23, 2.0**53
 
-# A block of text is a pair of (width, rows) arrays, text bytes and a mask of
-# the bytes that are text: row j's text is text[:, j][valid[:, j]].  Each
+# A block of text is a (width, rows) byte matrix: row j's text is the column
+# block[:, j] without its PAD bytes, a byte that never occurs in UTF-8.  Each
 # byte position is one contiguous vector, so every step is a whole-vector op.
+PAD = 0xFF
 
 
 def _digits(u: np.ndarray, width: int) -> np.ndarray:
@@ -109,23 +110,23 @@ def _digits(u: np.ndarray, width: int) -> np.ndarray:
     return out[4 * groups - width:]
 
 
-def _number(u: np.ndarray):
+def _number(u: np.ndarray) -> np.ndarray:
     """The block of each uint64 of u right-aligned, as wide as the longest."""
     count = np.maximum(np.searchsorted(POW10, u, "right"), 1)
-    width = int(count.max(initial=1))
-    return _digits(u, width), count > np.arange(width - 1, -1, -1)[:, None]
+    text = _digits(u, int(count.max(initial=1)))
+    text[count <= np.arange(len(text) - 1, -1, -1)[:, None]] = PAD
+    return text
 
 
-def _ints(v: np.ndarray):
+def _ints(v: np.ndarray) -> np.ndarray:
     """The block of int64 values: a sign, then the digits."""
     neg = v < 0
     u = v.astype(np.uint64)
-    text, valid = _number(np.where(neg, np.uint64(0) - u, u))
-    return (np.vstack([np.where(neg, ord("-"), 0).astype(np.uint8), text]),
-            np.vstack([neg, valid]))
+    return np.vstack([np.where(neg, ord("-"), PAD).astype(np.uint8),
+                      _number(np.where(neg, np.uint64(0) - u, u))])
 
 
-def _floats(x: np.ndarray):
+def _floats(x: np.ndarray) -> np.ndarray:
     """The block of float64 values, each as repr writes it.
 
     A value x in [FAST_LO, FAST_HI) is m * 2**-s with a 53-bit m and
@@ -133,12 +134,12 @@ def _floats(x: np.ndarray):
     r * 2**-s with r = m - (i << s).  repr writes i, a point and the fewest
     fraction digits p that read back as x, or "0" for p = 0; of those, the
     nearest, q = round(r * 10**p / 2**s), ties to even.  The nearest p-digit
-    fraction reads back iff 2 * |q * 2**s - r * 10**p| < 10**p.  17
-    significant digits always read back and i has at least 8, so p <= 9, and
-    a fraction that reads back at p does at p + 1 too: p is the number of
-    j < 9 at which none does.  Every product is below 2**29 * 10**9.  repr's
-    carry and its inclusive bound for an even m never apply here: i + 1 is a
-    double of its own, so no q = 10**p reads back as x, and x is exact with s
+    fraction reads back iff 2 * |q * 2**s - r * 10**p| < 10**p.  At p = 9
+    it does, as 10**-9 < 2**-29 <= 2**-s, so p <= 9, and a fraction that
+    reads back at p does at p + 1 too: p is the number of j < 9 at which
+    none does.  Every product is below 2**29 * 10**9.  repr's carry and its
+    inclusive bound for an even m never apply here: i + 1 is a double of
+    its own, so no q = 10**p reads back as x, and x is exact with s
     fraction digits, so the bound is met with equality only at p > s, where
     p = s already reads back.  Every other value is repr'd into the block.
     """
@@ -157,64 +158,44 @@ def _floats(x: np.ndarray):
     scaled = r * POW10[p]
     q, twice = scaled >> s, (scaled & low) << np.uint64(1)
     q += (twice > unit) | ((twice == unit) & (q & np.uint64(1) == 1))
-    digits, digits_valid = _number(i)
+    digits = _number(i)
     point = max(int(p.max(initial=0)), 1)
+    fraction = _digits(q * POW10[point - p], point)
+    fraction[np.maximum(p, 1) <= np.arange(point)[:, None]] = PAD
     slow = np.flatnonzero(~fast)
     reprs = np.array(list(map(repr, x[slow].tolist())), dtype=bytes)
     reprs = reprs.view(np.uint8).reshape(len(slow), reprs.itemsize).T
     n = len(digits)
-    text = np.zeros((max(n + 1 + point, len(reprs)), len(x)), np.uint8)
-    valid = np.zeros(text.shape, bool)
-    text[:n], valid[:n] = digits, digits_valid
-    text[n], valid[n] = ord("."), True
-    text[n + 1:n + 1 + point] = _digits(q * POW10[point - p], point)
-    valid[n + 1:n + 1 + point] = np.maximum(p, 1) > np.arange(point)[:, None]
-    valid[:, slow] = False
-    text[:len(reprs), slow], valid[:len(reprs), slow] = reprs, reprs != 0
-    return text, valid
+    text = np.full((max(n + 1 + point, len(reprs)), len(x)), PAD, np.uint8)
+    text[:n], text[n], text[n + 1:n + 1 + point] = digits, ord("."), fraction
+    text[:, slow] = PAD
+    text[:len(reprs), slow] = np.where(reprs == 0, PAD, reprs)
+    return text
 
 
-def _fields(fields):
+def _fields(fields) -> np.ndarray:
     """The block of each field in UTF-8, padded to the longest: column f is
     fields[f]."""
     encoded = [f.encode() for f in fields]
     table = np.array(encoded, dtype=bytes)
-    lengths = np.array([len(e) for e in encoded], dtype=np.intp)
-    return (table.view(np.uint8).reshape(len(encoded), table.itemsize).T.copy(),
-            lengths > np.arange(table.itemsize)[:, None])
+    text = table.view(np.uint8).reshape(len(encoded), table.itemsize).T.copy()
+    text[np.array([len(e) for e in encoded]) <= np.arange(table.itemsize)[:, None]] = PAD
+    return text
 
 
-def _render(columns, rows):
-    """The block of the CSV lines of `rows`, a slice or an index array."""
-    texts, valids = [], []
+def _render(columns, rows) -> np.ndarray:
+    """The block of the CSV lines of the slice `rows`."""
+    blocks = []
     for end, column in zip([","] * (len(columns) - 1) + ["\n"], columns):
         if isinstance(column, tuple):
-            (text, valid), index = column
-            at = index[rows]
-            text, valid = np.take(text, at, axis=1), np.take(valid, at, axis=1)
+            text, index = column
+            block = np.take(text, index[rows], axis=1)
         elif column.dtype.kind == "f":
-            text, valid = _floats(column[rows].astype(np.float64, copy=False))
+            block = _floats(column[rows].astype(np.float64, copy=False))
         else:
-            text, valid = _ints(column[rows].astype(np.int64, copy=False))
-        texts += [text, np.full((1, text.shape[1]), ord(end), np.uint8)]
-        valids += [valid, np.ones((1, text.shape[1]), bool)]
-    return np.vstack(texts), np.vstack(valids)
-
-
-def _line_table(columns, n: int):
-    """Each distinct line of an all-pair file rendered once: (line, text,
-    valid), where row i's line is text[line[i]][valid[line[i]]].  A row's
-    mixed-radix key over the pairs numbers every possible line, so equal keys
-    are equal lines."""
-    key = np.zeros(n, np.intp)
-    for (text, _), index in columns:
-        key = key * text.shape[1] + index
-    first = np.full(math.prod(text.shape[1] for (text, _), _ in columns), -1)
-    first[key] = np.arange(n)
-    seen = np.flatnonzero(first >= 0)
-    text, valid = _render(columns, first[seen])
-    first[seen] = np.arange(len(seen))
-    return first[key], text.T.copy(), valid.T.copy()
+            block = _ints(column[rows].astype(np.int64, copy=False))
+        blocks += [block, np.full((1, block.shape[1]), ord(end), np.uint8)]
+    return np.vstack(blocks)
 
 
 def write_csv(path: Path, header: list, columns) -> None:
@@ -224,25 +205,17 @@ def write_csv(path: Path, header: list, columns) -> None:
     standing for fields[index], where fields covers the column's whole range
     and no field needs CSV quoting; the text is what csv.writer writes for
     the same rows, floats as repr writes them.  Each slice of SLICE_ROWS rows
-    is rendered as a byte matrix, one fixed-width block per column, with a
-    mask of the bytes that are text, and written in one call; the text of a
-    file is never held whole.  When every column is a pair, a row's
-    mixed-radix key numbers its line, and each distinct line is rendered
-    once and looked up.
+    is rendered as one byte matrix, a fixed-width block per column, copied
+    into row order and written without its PAD bytes in one call; the text
+    of a file is never held whole.
     """
     n = len(columns[0][0] if isinstance(columns[0], tuple) else columns[0])
     columns = [(_fields(c[1]), c[0]) if isinstance(c, tuple) else c for c in columns]
-    lines = (_line_table(columns, n) if all(isinstance(c, tuple) for c in columns)
-             else None)
     with open(path, "wb") as f:
         f.write((",".join(header) + "\n").encode())
         for start in range(0, n, SLICE_ROWS):
-            rows = slice(start, start + SLICE_ROWS)
-            if lines is None:   # one line per row of text, read in row order
-                text, valid = (block.T for block in _render(columns, rows))
-            else:
-                text, valid = (np.take(table, lines[0][rows], axis=0) for table in lines[1:])
-            f.write(text[valid])
+            text = _render(columns, slice(start, start + SLICE_ROWS)).T.copy()
+            f.write(text[text != PAD])
 
 
 def cmd_simulate(args, parser) -> int:
@@ -401,9 +374,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        status = args.func(args, parser)
+        sys.stdout.flush()
+        return status
     except (ds.DatasetError, pc.PcaError, mc.MonteCarloError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # stdout's reader is gone: what is still buffered goes nowhere at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -339,18 +339,11 @@ def _table(specs, n, seed):
 
 
 def _check_write_csv(path, specs, n, seed):
-    """The file is csv.writer's text, and only an all-pair file takes the
-    whole-line path, the one that renders each distinct line once."""
-    from unittest import mock
-
-    from elections import cli
-
+    """The file is csv.writer's text."""
     columns, rows = _table(specs, n, seed)
     header = [f"c{i}" for i in range(len(columns))]
-    with mock.patch.object(cli, "_line_table", wraps=cli._line_table) as whole_line:
-        write_csv(path, header, columns)
+    write_csv(path, header, columns)
     assert path.read_bytes().decode("utf-8") == rendered(header, rows)
-    assert whole_line.called == all(kind == "pair" for kind, _ in specs)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 50])
@@ -373,25 +366,26 @@ def test_write_csv_above_one_slice(tmp_path):
         _check_write_csv(tmp_path / "big.csv", specs, SLICE_ROWS + 5, 0)
 
 
-# floats that write_csv renders from their bits, in [1e7, 2**53): powers of two,
+# floats that write_csv renders from their bits, in [2**23, 2**53): powers of two,
 # integers, 17-significant-digit values and 2**e + (2k + 1) * 2**-t, whose
 # fraction ends in 5 at digit t, so that when 2**(52 - e) < 10**(t - 1) both
 # (t - 1)-digit neighbours read back and repr takes the even one
-FAST = st.floats(1e7, 2.0**53, exclude_max=True)
+FAST = st.floats(2.0**23, 2.0**53, exclude_max=True)
 TIES = st.integers(23, 52).flatmap(lambda e: st.integers(1, max(52 - e, 1)).flatmap(
     lambda t: st.integers(0, 2**(t - 1) - 1).map(lambda k: 2.0**e + (2 * k + 1) / 2**t)))
 RENDERED = st.one_of(
     FAST, TIES, st.integers(0, 60).map(lambda e: 2.0**e),
-    st.integers(10**7, 2**53 - 1).map(float),
+    st.integers(2**23, 2**53 - 1).map(float),
     FAST.filter(lambda x: len(repr(x)) == 18),
-    st.sampled_from([1e7, 2.0**53 - 1, 2.0**53 - 0.5, 10**7 + 2**-29, 2.0**23]))
-# and the values around them, which go through repr; below 10**7, as in 1e7 / 3,
+    st.sampled_from([2.0**23, 2.0**53 - 1, 2.0**53 - 0.5, 2**23 + 2**-29, 1e7,
+                     math.nextafter(1e7, 0), 10**7 + 2**-29]))
+# and the values around them, which go through repr; below 2**23, as in 1e7 / 3,
 # 17 significant digits can take 10 fraction digits
 REPRD = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -1e7, -2.0**52 - 0.5,
-                     1e7 / 3, math.nextafter(1e7, 0), 2.0**53, 2.0**53 + 2, 1e16,
+                     1e7 / 3, math.nextafter(2.0**23, 0), 2.0**53, 2.0**53 + 2, 1e16,
                      1.7976931348623157e308]),
-    st.floats(1e6, 1e7, exclude_max=True), st.floats(max_value=1e7, exclude_max=True),
+    st.floats(1e6, 2.0**23, exclude_max=True), st.floats(max_value=2.0**23, exclude_max=True),
     st.floats(min_value=2.0**53))
 
 
@@ -412,15 +406,17 @@ def test_float_column_is_repr(tmp_path_factory, values):
 
 
 def test_float_edges_and_ties(tmp_path):
-    """Halfway ties go to the even digit; each edge of [1e7, 2**53) is repr's."""
+    """Halfway ties go to the even digit; each edge of [2**23, 2**53) is repr's."""
     import numpy as np
 
-    values = [2.0**43 + 1 / 16, 2.0**43 + 3 / 16, 2.0**44 + 1 / 32, 1e7, math.nextafter(1e7, 0),
+    values = [2.0**43 + 1 / 16, 2.0**43 + 3 / 16, 2.0**44 + 1 / 32, 2.0**23,
+              math.nextafter(2.0**23, 0), 2**23 + 2**-29, 1e7, math.nextafter(1e7, 0),
               2.0**53 - 1, 2.0**53, 2.0**52, 2.0**52 + 1, 2.0**24, 12345678.5, 10**7 + 2**-29,
               99999999.99999999, 1e7 / 3, math.nan, -0.0]
     assert _written(tmp_path, [np.array(values)]) == [
-        "8796093022208.062", "8796093022208.188", "17592186044416.03", "10000000.0",
-        "9999999.999999998", "9007199254740991.0", "9007199254740992.0", "4503599627370496.0",
+        "8796093022208.062", "8796093022208.188", "17592186044416.03", "8388608.0",
+        "8388607.999999999", "8388608.000000002", "10000000.0", "9999999.999999998",
+        "9007199254740991.0", "9007199254740992.0", "4503599627370496.0",
         "4503599627370497.0", "16777216.0", "12345678.5", "10000000.000000002",
         "99999999.99999999", "3333333.3333333335", "nan", "-0.0"]
 
@@ -429,8 +425,8 @@ def test_int64_edges_and_non_ascii_fields(tmp_path):
     import numpy as np
 
     ints = np.array([-2**63, 2**63 - 1, 0, -1, 10**4, -9999], dtype=np.int64)
-    fields = ("é", "中文", "\U0001f5f3", "x\x00y", "")
-    index = np.array([0, 1, 2, 3, 4, 0])
+    fields = ("é", "中文", "\U0001f5f3", "x\x00y", "", "ÿ")
+    index = np.array([0, 1, 2, 3, 4, 5])
     rows = list(zip(ints.tolist(), [fields[i] for i in index.tolist()], [1e8 + 0.1] * 6))
     assert _written(tmp_path, [ints, (index, fields), np.full(6, 1e8 + 0.1)]) == \
         rendered(["c0", "c1", "c2"], rows).split("\n")[1:-1]
@@ -438,24 +434,48 @@ def test_int64_edges_and_non_ascii_fields(tmp_path):
         [f"{fields[i]},{fields[j]}" for i, j in zip(index.tolist(), index[::-1].tolist())]
 
 
-def test_blas_threads_default_to_one():
-    """Importing elections sets one BLAS thread, unless the user chose a count."""
+def _child_env(drop=()) -> dict:
+    """This environment without `drop`, with these sources first on PYTHONPATH."""
     import os
-    import subprocess
-    import sys
     from pathlib import Path
 
     import elections
 
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(elections.__file__).parents[1]),
+                                         env.get("PYTHONPATH", "")])
+    return env
+
+
+def test_blas_threads_default_to_one():
+    """Importing elections sets one BLAS thread, unless the user chose a count."""
+    import subprocess
+    import sys
+
     names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    src = str(Path(elections.__file__).parents[1])
-    env = {k: v for k, v in os.environ.items() if k not in names}
-    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    env = _child_env(names)
     probe = "import os, elections; print(*(os.environ[n] for n in %r))" % (names,)
     for user, want in (({}, "1 1 1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3 1 1")):
         out = subprocess.run([sys.executable, "-c", probe], env={**env, **user},
                              capture_output=True, text=True, check=True).stdout
         assert out.split() == want.split()
+
+
+@pytest.mark.parametrize("argv", [["pca"], ["pca", "--loadings", "1"], ["scenario"]])
+def test_closed_stdout_is_a_clean_exit(argv):
+    """Output to a pipe nobody reads is exit status 1 with nothing on stderr."""
+    import os
+    import subprocess
+    import sys
+
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "elections.cli", *argv], env=_child_env(),
+                              stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, "")
 
 
 @pytest.mark.parametrize("content", [None, "{not json", b"\xff\xfe", "{}", "[]"],
