@@ -44,6 +44,9 @@ data="$tree/src/elections/data"
 awk -F, -v OFS=, 'NR > 1 { $2 = int($2 / 7) } 1' "$data/structure_2008.csv" > "$out/structure_div7.csv"
 simulate t20000_s3_div7 --trials 20000 --seed 3 \
     --shares "$data/elections_1964_2008.csv" --structure "$out/structure_div7.csv"
+# five elections from 1992 on: a 4-component model, one Philox block per trial
+simulate t20000_s2_1992 --trials 20000 --seed 2 --start-year 1992
 run pca > "$out/pca.json"
+run pca --start-year 1992 > "$out/pca_1992.json"
 run pca --loadings 1 > "$out/pca_loadings1.csv"
 run scenario > "$out/scenario.txt"

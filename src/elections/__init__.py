@@ -15,7 +15,6 @@ from .dataset import (
     STATE_NAMES,
     load_bundled_dataset,
     load_dataset,
-    save_dataset,
     two_party_share,
 )
 from .generator import SimulatedShares, draw_noise, generate_shares
@@ -42,7 +41,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ElectionDataset", "STATE_NAMES", "load_bundled_dataset", "load_dataset",
-    "save_dataset", "two_party_share", "SimulatedShares",
+    "two_party_share", "SimulatedShares",
     "draw_noise", "generate_shares", "OutcomeRecord", "RunSummary",
     "SweepResult", "classify", "emit_figure_data", "run_batch", "senate_sweep",
     "PcaModel", "center", "covariance", "fit_pca", "loadings_report",

@@ -228,12 +228,9 @@ def cmd_simulate(args, parser) -> int:
         print(f"error: cannot create {out_dir}: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 1
-    outputs = [("scatter_HS", "scatter_hs.csv"),
-               ("california_scatter", "california_scatter.csv")]
-    if args.emit_trials:
-        outputs.append(("trials", "trials.csv"))
     # a target that is there but is no file fails before anything is written
-    names = ["run_summary.json", "senate_sweep.json", *dict(outputs).values(), "diff_histogram.csv"]
+    names = ["run_summary.json", "senate_sweep.json", *mc.FIGURES[:2 + args.emit_trials],
+             "diff_histogram.csv"]
     if taken := [p for p in (out_dir / n for n in names) if p.exists() and not p.is_file()]:
         print(f"error: cannot write {taken[0]}: not a regular file", file=sys.stderr)
         return 1
@@ -244,8 +241,8 @@ def cmd_simulate(args, parser) -> int:
         (out_dir / "run_summary.json").write_text(summary.to_json() + "\n")
         (out_dir / "senate_sweep.json").write_text(
             json.dumps(sweep.to_dict(), sort_keys=True, indent=2) + "\n")
-        for kind, fname in outputs:
-            write_csv(out_dir / fname, *mc.emit_figure_data(summary.table, kind))
+        for name, figure in mc.emit_figure_data(summary.table, args.emit_trials).items():
+            write_csv(out_dir / name, *figure)
         write_csv(out_dir / "diff_histogram.csv", ["bin_lo", "bin_hi", "count"],
                   np.array(summary.diff_histogram, dtype=np.int64).reshape(-1, 3).T)
     except OSError as exc:

@@ -221,21 +221,6 @@ def load_dataset(shares_path, structure_path) -> ElectionDataset:
                            house_electors=house)
 
 
-def save_dataset(dataset: ElectionDataset, shares_path, structure_path) -> None:
-    """Write a dataset back to the two CSV formats (full float precision)."""
-    with open(shares_path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["state", "year", "dem_share"])
-        for t, year in enumerate(dataset.years):
-            for s, name in enumerate(STATE_NAMES):
-                writer.writerow([name, year, repr(float(dataset.shares[t, s]))])
-    with open(structure_path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["state", "turnout_two_party_2008", "house_electors"])
-        for s, name in enumerate(STATE_NAMES):
-            writer.writerow([name, int(dataset.turnout[s]), int(dataset.house_electors[s])])
-
-
 def load_bundled_dataset() -> ElectionDataset:
     """The 1964-2008 history and 2008 structure shipped inside the package."""
     root = resources.files("elections") / "data"

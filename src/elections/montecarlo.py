@@ -33,12 +33,19 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dataset import CALIFORNIA, ElectionDataset
+from .dataset import CALIFORNIA, ELECTORS_TOTAL, HOUSE_TOTAL, N_STATES, ElectionDataset
 from .generator import draw_noise_batch, generate_shares_batch
 from .pca import PcaModel
 from .tally import DEM, FULL, HOUSE_ONLY, REP, STATES_WON, TallyResult, pool
 
 CODES = ("WW", "WL", "LW", "LL")
+# the figure files of a run; trials.csv only with --emit-trials
+FIGURES = ("scatter_hs.csv", "california_scatter.csv", "trials.csv")
+# every H, S and diff field: the ranges are fixed by the 436 House electors
+# and 51 states that ElectionDataset enforces
+H_FIELDS = tuple(map(str, range(HOUSE_TOTAL + 1)))
+S_FIELDS = tuple(str(FULL * s) for s in range(N_STATES + 1))
+DIFF_FIELDS = tuple(map(str, range(-ELECTORS_TOTAL, ELECTORS_TOTAL + 1)))
 
 DEFAULT_BIN_WIDTH = 20
 _CHUNK = 2048   # a (chunk, 51) float64 array fits in a 2 MB L2 cache
@@ -98,14 +105,13 @@ def classify(tally: TallyResult, trial: int = 0) -> OutcomeRecord:
 class TrialTable:
     """One row per classified trial among trials 0..trials-1 of one seed, in order.
 
-    pw_* columns belong to the popular winner.  A degenerate trial has no
-    row; tied_state and tied_popular list their trial numbers.
+    pw_* columns belong to the popular winner, out of HOUSE_TOTAL House
+    electors and N_STATES states.  A degenerate trial has no row;
+    tied_state and tied_popular list their trial numbers.
     """
 
     seed: int
     trials: int
-    house_total: int
-    n_states: int
     total_pop: float
     tied_state: np.ndarray       # trials with some state's share exactly 0.5
     tied_popular: np.ndarray     # trials with the popular vote split exactly, no state tie
@@ -124,7 +130,7 @@ class TrialTable:
         """Popular winner's electors minus the rest in the pool of rule k
         (see tally.pool).  The popular winner wins the pool iff margin > 0."""
         return (2 * pool(self.pw_house, self.pw_states, k)
-                - pool(self.house_total, self.n_states, k))
+                - pool(HOUSE_TOTAL, N_STATES, k))
 
     def codes(self) -> np.ndarray:
         """Index into CODES per trial: 0=WW 1=WL 2=LW 3=LL."""
@@ -159,15 +165,14 @@ def trial_columns(model: PcaModel, dataset: ElectionDataset,
                   seed: int, start: int, count: int) -> dict:
     """TrialTable columns for trials start..start+count-1, each drawn once."""
     z = draw_noise_batch(seed, start, count, model.n_components)
-    n = len(dataset.house_electors)
-    clamped = generate_shares_batch(model, z, out=_scratch("shares", count, n))
+    clamped = generate_shares_batch(model, z, out=_scratch("shares", count, N_STATES))
     np.clip(clamped, 0.0, 1.0, out=clamped)
     turnout = dataset.turnout.astype(float)
     # a row-wise sum, unlike a matrix-vector product, gives every row the
     # same bits wherever it sits in the chunk
-    dem_pop = np.multiply(clamped, turnout, out=_scratch("votes", count, n)).sum(axis=1)
+    dem_pop = np.multiply(clamped, turnout, out=_scratch("votes", count, N_STATES)).sum(axis=1)
     total_pop = turnout.sum()
-    ties = np.equal(clamped, 0.5, out=_scratch("win", count, n, bool))
+    ties = np.equal(clamped, 0.5, out=_scratch("win", count, N_STATES, bool))
     tied_state = ties.any(axis=1) if ties.any() else np.zeros(count, bool)
     tied_popular = (dem_pop * 2 == total_pop) & ~tied_state
     if not (keep := ~(tied_state | tied_popular)).all():
@@ -179,8 +184,8 @@ def trial_columns(model: PcaModel, dataset: ElectionDataset,
         "tied_state": start + np.flatnonzero(tied_state),
         "tied_popular": start + np.flatnonzero(tied_popular),
         "pw_dem": pw_dem,
-        "pw_house": np.where(pw_dem, house_d, dataset.house_electors.sum() - house_d),
-        "pw_states": np.where(pw_dem, states_d, n - states_d),
+        "pw_house": np.where(pw_dem, house_d, HOUSE_TOTAL - house_d),
+        "pw_states": np.where(pw_dem, states_d, N_STATES - states_d),
         "carried_ca": win[:, CALIFORNIA] == pw_dem,
         "dem_pop": dem_pop,
     }
@@ -303,8 +308,6 @@ def run_batch(model: PcaModel, dataset: ElectionDataset, trials: int, seed: int,
     table = TrialTable(
         seed=seed,
         trials=trials,
-        house_total=int(dataset.house_electors.sum()),
-        n_states=len(dataset.house_electors),
         total_pop=float(dataset.turnout.astype(float).sum()),
         **{name: np.concatenate([p[name] for p in parts]) for name in parts[0]})
     return summarize(table, bin_width, keep_records)
@@ -350,30 +353,25 @@ def _records(table: TrialTable) -> tuple:
             table.pw_house, table.pw_states, table.carried_ca))))
 
 
-def emit_figure_data(table: TrialTable, which: str):
+def emit_figure_data(table: TrialTable, emit_trials: bool) -> dict:
     """Tabular data behind the scatter figures and the per-trial records.
 
-    Returns (header, columns) for cli.write_csv: one column per header name
-    over the classified trials, in trial order.  Every bounded column is an
-    (index, fields) pair whose fields cover its whole range, which the
-    table's House and state counts fix: H, S, diff, the code, the party and
-    California's 0/1.  The trial number and the popular votes are numpy
-    arrays.  `which` is one of scatter_HS, california_scatter, trials.  The
-    difference histogram is RunSummary.diff_histogram.
+    Returns {name: (header, columns)} for cli.write_csv, over FIGURES[:2],
+    or all of FIGURES with emit_trials: one column per header name over the
+    classified trials, in trial order.  Every bounded column is an (index,
+    fields) pair whose fields cover its whole range: H, S, diff, the code,
+    the party and California's 0/1.  The trial number and the popular votes
+    are numpy arrays.  The difference histogram is RunSummary.diff_histogram.
     """
-    hs = [(table.pw_house, tuple(map(str, range(table.house_total + 1)))),
-          (table.pw_states, tuple(str(FULL * s) for s in range(table.n_states + 1)))]
+    hs = [(table.pw_house, H_FIELDS), (table.pw_states, S_FIELDS)]
+    codes = (table.codes(), CODES)
     carried = (table.carried_ca.view(np.int8), ("0", "1"))
-    if which == "scatter_HS":
-        return ["H", "S", "code"], [*hs, (table.codes(), CODES)]
-    if which == "california_scatter":
-        return (["H", "S", "popular_winner", "carried_california"],
-                [*hs, (table.pw_dem.view(np.int8), (REP, DEM)), carried])
-    if which == "trials":
-        electors = pool(table.house_total, table.n_states, FULL)
-        return (["trial", "code", "dem_pop", "rep_pop", "H", "S", "diff", "california"],
-                [table.numbers(), (table.codes(), CODES), table.dem_pop,
-                 table.total_pop - table.dem_pop, *hs,
-                 (table.diffs() + electors, tuple(map(str, range(-electors, electors + 1)))),
-                 carried])
-    raise ValueError(f"unknown figure kind {which!r}")
+    files = [(["H", "S", "code"], [*hs, codes]),
+             (["H", "S", "popular_winner", "carried_california"],
+              [*hs, (table.pw_dem.view(np.int8), (REP, DEM)), carried])]
+    if emit_trials:
+        files.append((
+            ["trial", "code", "dem_pop", "rep_pop", "H", "S", "diff", "california"],
+            [table.numbers(), codes, table.dem_pop, table.total_pop - table.dem_pop, *hs,
+             (table.diffs() + ELECTORS_TOTAL, DIFF_FIELDS), carried]))
+    return dict(zip(FIGURES, files))

@@ -1,6 +1,8 @@
+import csv
+
 import pytest
 
-from elections import fit_pca, load_bundled_dataset, run_batch, senate_sweep
+from elections import STATE_NAMES, fit_pca, load_bundled_dataset, run_batch, senate_sweep
 
 
 @pytest.fixture(scope="session")
@@ -11,6 +13,25 @@ def dataset():
 @pytest.fixture(scope="session")
 def model(dataset):
     return fit_pca(dataset)
+
+
+@pytest.fixture(scope="session")
+def save_dataset():
+    """save_dataset(dataset, shares_path, structure_path) writes a dataset as
+    the two CSVs that load_dataset reads, shares at full float precision."""
+    def save(dataset, shares_path, structure_path):
+        with open(shares_path, "w", newline="", encoding="utf-8") as f:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(["state", "year", "dem_share"])
+            for t, year in enumerate(dataset.years):
+                for s, name in enumerate(STATE_NAMES):
+                    writer.writerow([name, year, repr(float(dataset.shares[t, s]))])
+        with open(structure_path, "w", newline="", encoding="utf-8") as f:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(["state", "turnout_two_party_2008", "house_electors"])
+            for s, name in enumerate(STATE_NAMES):
+                writer.writerow([name, int(dataset.turnout[s]), int(dataset.house_electors[s])])
+    return save
 
 
 @pytest.fixture(scope="session")

@@ -238,7 +238,9 @@ def test_simulate_bad_out(tmp_path, capsys, monkeypatch, below_file):
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
-@pytest.mark.parametrize("taken", ["run_summary.json", "trials.csv"])
+@pytest.mark.parametrize("taken", ["run_summary.json", "trials.csv", "senate_sweep.json",
+                                   "scatter_hs.csv", "california_scatter.csv",
+                                   "diff_histogram.csv"])
 def test_simulate_unwritable_output(tmp_path, capsys, monkeypatch, taken):
     """An output target that is not a regular file is one stderr line and exit 1,
     found before simulating, so nothing is written."""
@@ -254,6 +256,19 @@ def test_simulate_unwritable_output(tmp_path, capsys, monkeypatch, taken):
     assert code == 1 and stdout == ""
     assert len(err.splitlines()) == 1 and taken in err and "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == [taken]
+
+
+def test_simulate_ignores_trials_target_without_emit_trials(tmp_path, capsys):
+    """Without --emit-trials, trials.csv is no output: a directory of that
+    name neither stops the run nor is touched."""
+    (tmp_path / "trials.csv").mkdir()
+    (tmp_path / "trials.csv" / "keep").write_text("keep\n")
+    assert run(["simulate", "--trials", "100", "--out", str(tmp_path)], capsys)[0] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["run_summary.json", "senate_sweep.json", "scatter_hs.csv",
+         "california_scatter.csv", "diff_histogram.csv", "trials.csv"])
+    assert [p.name for p in (tmp_path / "trials.csv").iterdir()] == ["keep"]
+    assert (tmp_path / "trials.csv" / "keep").read_text() == "keep\n"
 
 
 def test_simulate_csv_text(tmp_path, capsys, model, dataset):
@@ -492,8 +507,8 @@ def test_report_unreadable(tmp_path, capsys, content):
     assert len(err.splitlines()) == 1 and str(path) in err
 
 
-def test_bad_structure_file(tmp_path, capsys):
-    from elections import load_bundled_dataset, save_dataset
+def test_bad_structure_file(tmp_path, capsys, save_dataset):
+    from elections import load_bundled_dataset
 
     data = load_bundled_dataset()
     shares_path = tmp_path / "shares.csv"
@@ -507,11 +522,11 @@ def test_bad_structure_file(tmp_path, capsys):
     assert "MalformedRow" in err
 
 
-def _saved_pair(directory, shares=None):
+def _saved_pair(save_dataset, directory, shares=None):
     """Write the bundled data (shares optionally replaced) as a CSV pair."""
     import dataclasses
 
-    from elections import load_bundled_dataset, save_dataset
+    from elections import load_bundled_dataset
 
     data = load_bundled_dataset()
     if shares is not None:
@@ -522,10 +537,10 @@ def _saved_pair(directory, shares=None):
 
 
 @pytest.mark.parametrize("command", ["pca", "simulate"])
-def test_zero_variance_history_rejected(tmp_path, capsys, command):
+def test_zero_variance_history_rejected(tmp_path, capsys, save_dataset, command):
     import numpy as np
 
-    shares, structure = _saved_pair(tmp_path, np.full((12, 51), 0.5))
+    shares, structure = _saved_pair(save_dataset, tmp_path, np.full((12, 51), 0.5))
     out = tmp_path / "r"
     argv = [command, "--shares", str(shares), "--structure", str(structure)]
     if command == "simulate":
@@ -538,8 +553,8 @@ def test_zero_variance_history_rejected(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("flag", ["--shares", "--structure"])
 @pytest.mark.parametrize("fault", ["missing", "directory", "not-utf8"])
-def test_unreadable_input_file(tmp_path, capsys, flag, fault):
-    shares, structure = _saved_pair(tmp_path)
+def test_unreadable_input_file(tmp_path, capsys, save_dataset, flag, fault):
+    shares, structure = _saved_pair(save_dataset, tmp_path)
     bad = tmp_path / "bad.csv"
     if fault == "directory":
         bad.mkdir()
@@ -586,10 +601,10 @@ def _mutate(data: bytes, mutations) -> bytes:
 
 @settings(max_examples=50, deadline=None)
 @given(st.sampled_from([0, 1]), MUTATIONS)
-def test_malformed_csv_fails_cleanly(tmp_path_factory, target, mutations):
+def test_malformed_csv_fails_cleanly(tmp_path_factory, save_dataset, target, mutations):
     directory = tmp_path_factory.getbasetemp() / "malformed"
     directory.mkdir(exist_ok=True)
-    paths = _saved_pair(directory)
+    paths = _saved_pair(save_dataset, directory)
     paths[target].write_bytes(_mutate(paths[target].read_bytes(), mutations))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from elections import dataset as ds
-from elections import load_bundled_dataset, load_dataset, save_dataset, two_party_share
+from elections import load_bundled_dataset, load_dataset, two_party_share
 
 
 def test_state_roster():
@@ -60,7 +60,7 @@ def test_bundled_dataset_known_values(dataset):
     assert dataset.house_electors[ca] == 53
 
 
-def test_round_trip_bit_equal(dataset, tmp_path):
+def test_round_trip_bit_equal(dataset, tmp_path, save_dataset):
     shares_path = tmp_path / "shares.csv"
     struct_path = tmp_path / "structure.csv"
     save_dataset(dataset, shares_path, struct_path)
@@ -71,7 +71,7 @@ def test_round_trip_bit_equal(dataset, tmp_path):
     assert np.array_equal(again.house_electors, dataset.house_electors)
 
 
-def test_load_votes_format(dataset, tmp_path):
+def test_load_votes_format(dataset, tmp_path, save_dataset):
     import csv
 
     shares_path = tmp_path / "votes.csv"
@@ -112,7 +112,7 @@ def test_elector_sum_mismatch(dataset):
                            turnout=dataset.turnout, house_electors=house)
 
 
-def test_missing_state_rejected(dataset, tmp_path):
+def test_missing_state_rejected(dataset, tmp_path, save_dataset):
     import csv
 
     shares_path = tmp_path / "shares.csv"
@@ -127,7 +127,7 @@ def test_missing_state_rejected(dataset, tmp_path):
         load_dataset(shares_path, struct_path)
 
 
-def test_malformed_row_rejected(dataset, tmp_path):
+def test_malformed_row_rejected(dataset, tmp_path, save_dataset):
     import csv
 
     shares_path = tmp_path / "shares.csv"
@@ -142,7 +142,7 @@ def test_malformed_row_rejected(dataset, tmp_path):
         load_dataset(shares_path, struct_path)
 
 
-def test_unknown_state_rejected(dataset, tmp_path):
+def test_unknown_state_rejected(dataset, tmp_path, save_dataset):
     import csv
 
     shares_path = tmp_path / "shares.csv"
@@ -158,7 +158,7 @@ def test_unknown_state_rejected(dataset, tmp_path):
 
 
 @pytest.mark.parametrize("fault", ["duplicate-share-row", "duplicate-structure-row"])
-def test_duplicate_rows_rejected(dataset, tmp_path, fault):
+def test_duplicate_rows_rejected(dataset, tmp_path, save_dataset, fault):
     shares_path = tmp_path / "shares.csv"
     struct_path = tmp_path / "structure.csv"
     save_dataset(dataset, shares_path, struct_path)

@@ -25,8 +25,7 @@ def make_table(n, **columns):
     """Hand-built TrialTable of n identical WW trials and no degenerate one,
     overridden by columns."""
     none = np.zeros(0, np.intp)
-    base = dict(seed=0, trials=n, house_total=436, n_states=51,
-                total_pop=1.2e8, tied_state=none, tied_popular=none,
+    base = dict(seed=0, trials=n, total_pop=1.2e8, tied_state=none, tied_popular=none,
                 pw_dem=np.ones(n, bool),
                 pw_house=np.full(n, 300), pw_states=np.full(n, 30),
                 carried_ca=np.ones(n, bool), dem_pop=np.full(n, 6.1e7))
@@ -283,7 +282,7 @@ def test_trial_numbers_skip_degenerate_trials():
     table = make_table(3, trials=5, tied_state=np.array([1]), tied_popular=np.array([3]),
                        pw_house=np.array([300, 200, 300]))
     assert table.numbers().tolist() == [0, 2, 4]
-    header, columns = mc.emit_figure_data(table, "trials")
+    header, columns = mc.emit_figure_data(table, True)["trials.csv"]
     assert _values(columns[header.index("trial")]) == [0, 2, 4]
     s = mc.summarize(table, keep_records=True)
     assert [(r.trial, r.code) for r in s.records] == [(0, "WW"), (2, "LL"), (4, "WW")]
@@ -352,8 +351,8 @@ def _field_counts(table) -> dict:
     """{header name: {number of fields}} of the (index, fields) pairs of the
     three figure files; the other columns are numpy arrays."""
     counts = {}
-    for kind in ("scatter_HS", "california_scatter", "trials"):
-        for name, column in zip(*mc.emit_figure_data(table, kind)):
+    for header, columns in mc.emit_figure_data(table, True).values():
+        for name, column in zip(header, columns):
             if isinstance(column, tuple):
                 counts.setdefault(name, set()).add(len(column[1]))
             else:
@@ -362,21 +361,30 @@ def _field_counts(table) -> dict:
     return counts
 
 
+HEADERS = {
+    "scatter_hs.csv": ["H", "S", "code"],
+    "california_scatter.csv": ["H", "S", "popular_winner", "carried_california"],
+    "trials.csv": ["trial", "code", "dem_pop", "rep_pop", "H", "S", "diff", "california"]}
+
+
 def test_emit_figure_data(summary_20k):
     """Each pair's fields cover its whole range, whatever the table holds."""
     for table in (summary_20k.table, make_table(1)):
         assert _field_counts(table) == {name: {n} for name, n in FIELD_COUNTS.items()}
     table, records = summary_20k.table, summary_20k.records
-    header, columns = mc.emit_figure_data(table, "scatter_HS")
-    assert header == ["H", "S", "code"]
+    for emit_trials, names in ((False, mc.FIGURES[:2]), (True, mc.FIGURES)):
+        files = mc.emit_figure_data(table, emit_trials)
+        assert tuple(files) == names
+        assert {name: header for name, (header, _) in files.items()} == {
+            name: HEADERS[name] for name in names}
+    columns = files["scatter_hs.csv"][1]
     assert columns[2][1] == mc.CODES
     assert _rows(columns) == [(str(r.popular_winner_H), str(r.popular_winner_S), r.code)
                               for r in records]
-    header, columns = mc.emit_figure_data(table, "california_scatter")
-    assert header == ["H", "S", "popular_winner", "carried_california"]
+    columns = files["california_scatter.csv"][1]
     assert _rows(columns) == [(str(r.popular_winner_H), str(r.popular_winner_S), r.popular_winner,
                                str(int(r.carried_california))) for r in records]
-    header, columns = mc.emit_figure_data(table, "trials")
+    header, columns = files["trials.csv"]
     assert len(header) == len(columns) == 8
     rows = _rows(columns)
     assert len(rows) == len(records) == summary_20k.n_classified
@@ -406,12 +414,13 @@ def test_figure_files_at_the_ends_of_each_range(tmp_path):
     party, s = np.where(dem, DEM, REP), 2 * states
     ca, rep_pop = ca.astype(int), table.total_pop - table.dem_pop
     expected = {
-        "scatter_HS": zip(house, s, codes),
-        "california_scatter": zip(house, s, party, ca),
-        "trials": zip([0, 1, 3, 4, 5, 6], codes, map(repr, table.dem_pop.tolist()),
-                      map(repr, rep_pop.tolist()), house, s, diffs, ca)}
-    for kind, values in expected.items():
-        header, columns = mc.emit_figure_data(table, kind)
+        "scatter_hs.csv": zip(house, s, codes),
+        "california_scatter.csv": zip(house, s, party, ca),
+        "trials.csv": zip([0, 1, 3, 4, 5, 6], codes, map(repr, table.dem_pop.tolist()),
+                          map(repr, rep_pop.tolist()), house, s, diffs, ca)}
+    files = mc.emit_figure_data(table, True)
+    for name, values in expected.items():
+        header, columns = files[name]
         write_csv(tmp_path / "edges.csv", header, columns)
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows([header, *values])
@@ -420,19 +429,15 @@ def test_figure_files_at_the_ends_of_each_range(tmp_path):
     assert table.diffs().tolist() == diffs.tolist()
 
 
-def test_emit_figure_data_errors(summary_20k, tmp_path):
+def test_emit_figure_data_errors(tmp_path):
     from elections.cli import write_csv
 
     degenerate = make_table(0, trials=1, tied_state=np.array([0]))
-    for kind in ("scatter_HS", "california_scatter", "trials"):
-        header, columns = mc.emit_figure_data(degenerate, kind)
-        assert header == mc.emit_figure_data(summary_20k.table, kind)[0]
+    for name, (header, columns) in mc.emit_figure_data(degenerate, True).items():
+        assert header == HEADERS[name]
         assert len(columns) == len(header) and all(_values(c) == [] for c in columns)
         write_csv(tmp_path / "empty.csv", header, columns)   # the header only
         assert (tmp_path / "empty.csv").read_text() == ",".join(header) + "\n"
-    for kind in ("pie_chart", "diff_histogram"):  # the histogram is the summary's
-        with pytest.raises(ValueError):
-            mc.emit_figure_data(summary_20k.table, kind)
 
 
 def test_emit_histogram_empty_when_all_ww():
