@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import os
 import sys
@@ -383,5 +384,11 @@ def main(argv=None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Exit with main's status; gc.freeze() first keeps every collection off the import heap."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -493,6 +493,74 @@ def test_closed_stdout_is_a_clean_exit(argv):
     assert (done.returncode, done.stderr) == (1, "")
 
 
+def _cli(argv):
+    """`python -m elections.cli argv` in a child process, through cli.run."""
+    import subprocess
+    import sys
+
+    return subprocess.run([sys.executable, "-m", "elections.cli", *argv], env=_child_env(),
+                          capture_output=True, text=True)
+
+
+def test_process_writes_what_main_writes(tmp_path, capsys):
+    """The files of a process, whose import heap run() freezes, are byte-identical
+    to main's in-process files: no output waits for a finalizer at exit."""
+    argv = ["simulate", "--trials", "2049", "--seed", "6", "--emit-trials", "--out"]
+    done = _cli([*argv, str(tmp_path / "process")])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert run([*argv, str(tmp_path / "main")], capsys)[0] == 0
+    files = {p.name: p.read_bytes() for p in (tmp_path / "process").iterdir()}
+    assert len(files) == 6
+    assert files == {p.name: p.read_bytes() for p in (tmp_path / "main").iterdir()}
+
+
+@pytest.mark.parametrize("flag, value, code", [
+    ("--trials", "0", 2), ("--shares", "missing.csv", 1), ("--structure", "missing.csv", 1),
+], ids=["trials=0", "missing-shares", "missing-structure"])
+def test_process_errors_are_one_line(tmp_path, flag, value, code):
+    from pathlib import Path
+
+    import elections
+
+    data = Path(elections.__file__).parent / "data"
+    args = {"--trials": "100", "--shares": str(data / "elections_1964_2008.csv"),
+            "--structure": str(data / "structure_2008.csv"), "--out": str(tmp_path / "r")}
+    args[flag] = str(tmp_path / value) if value.endswith(".csv") else value
+    done = _cli(["simulate", *itertools.chain(*args.items())])
+    assert done.returncode == code and done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1 and "Traceback" not in done.stderr
+    assert not (tmp_path / "r").exists()
+
+
+def test_main_never_freezes(tmp_path, capsys, monkeypatch):
+    """In-process main leaves the collector alone, so pytest's ResourceWarning and
+    unraisable-exception gates see every object cycle; gc.freeze is run()'s only."""
+    import ast
+    import gc
+    from pathlib import Path
+
+    import elections
+
+    monkeypatch.chdir(tmp_path)
+    for argv in (["scenario"], ["pca"], ["simulate", "--trials", "100", "--emit-trials"],
+                 ["report", "results/run_summary.json"], ["simulate", "--trials", "0"],
+                 ["report", "missing.json"]):
+        with contextlib.suppress(SystemExit):
+            main(argv)
+        assert gc.get_freeze_count() == 0, argv
+
+    def freezes(node):
+        return sum(isinstance(n, ast.Attribute) and n.attr == "freeze" for n in ast.walk(node))
+
+    found = {}
+    for path in Path(elections.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if freezes(tree):
+            found[path.name] = freezes(tree), [f.name for f in ast.walk(tree)
+                                               if isinstance(f, ast.FunctionDef) and freezes(f)]
+    assert found == {"cli.py": (1, ["run"])}
+
+
 @pytest.mark.parametrize("content", [None, "{not json", b"\xff\xfe", "{}", "[]"],
                          ids=["missing", "not-json", "not-utf8", "empty-object",
                               "empty-list"])
