@@ -44,12 +44,14 @@ def _load(args, parser) -> ds.ElectionDataset:
     else:
         data = ds.load_bundled_dataset()
     if args.start_year != 1964:
-        data = data.restrict_years(args.start_year)
-        if data.n_years < MIN_ELECTIONS:
+        # counted first: a dataset of fewer than 2 years cannot be built
+        kept = sum(year >= args.start_year for year in data.years)
+        if kept < MIN_ELECTIONS:
             parser.error(f"--start-year {args.start_year} leaves only "
-                         f"{data.n_years} elections (need >= {MIN_ELECTIONS})")
-        if data.n_years < WARN_ELECTIONS:
-            print(f"warning: only {data.n_years} elections remain after "
+                         f"{kept} elections (need >= {MIN_ELECTIONS})")
+        data = data.restrict_years(args.start_year)
+        if kept < WARN_ELECTIONS:
+            print(f"warning: only {kept} elections remain after "
                   f"--start-year {args.start_year}", file=sys.stderr)
     return data
 

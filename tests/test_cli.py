@@ -590,15 +590,13 @@ def test_bad_structure_file(tmp_path, capsys, save_dataset):
     assert "MalformedRow" in err
 
 
-def _saved_pair(save_dataset, directory, shares=None):
-    """Write the bundled data (shares optionally replaced) as a CSV pair."""
+def _saved_pair(save_dataset, directory, **changes):
+    """Write the bundled data, with `changes` to its fields, as a CSV pair."""
     import dataclasses
 
     from elections import load_bundled_dataset
 
-    data = load_bundled_dataset()
-    if shares is not None:
-        data = dataclasses.replace(data, shares=shares)
+    data = dataclasses.replace(load_bundled_dataset(), **changes)
     paths = directory / "shares.csv", directory / "structure.csv"
     save_dataset(data, *paths)
     return paths
@@ -608,7 +606,7 @@ def _saved_pair(save_dataset, directory, shares=None):
 def test_zero_variance_history_rejected(tmp_path, capsys, save_dataset, command):
     import numpy as np
 
-    shares, structure = _saved_pair(save_dataset, tmp_path, np.full((12, 51), 0.5))
+    shares, structure = _saved_pair(save_dataset, tmp_path, shares=np.full((12, 51), 0.5))
     out = tmp_path / "r"
     argv = [command, "--shares", str(shares), "--structure", str(structure)]
     if command == "simulate":
@@ -616,6 +614,26 @@ def test_zero_variance_history_rejected(tmp_path, capsys, save_dataset, command)
     code, _, err = run(argv, capsys)
     assert code == 1
     assert len(err.splitlines()) == 1 and "DegenerateSample" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pca", "simulate"])
+@pytest.mark.parametrize("start_year, left", [(2000, 1), (2004, 0)])
+def test_start_year_leaving_under_two_elections(tmp_path, capsys, save_dataset,
+                                                 command, start_year, left):
+    # the bundled history shifted back 8 years (1956-2000): the usage error,
+    # not the dataset's own "need at least 2 election years"
+    years = tuple(range(1956, 2004, 4))
+    shares, structure = _saved_pair(save_dataset, tmp_path, years=years)
+    out = tmp_path / "r"
+    argv = [command, "--shares", str(shares), "--structure", str(structure),
+            "--start-year", str(start_year)]
+    if command == "simulate":
+        argv += ["--trials", "100", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"leaves only {left} elections (need >= 3)" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,6 +1,5 @@
 import dataclasses
 import os
-import threading
 
 import numpy as np
 import pytest
@@ -150,76 +149,13 @@ def test_electors_won_is_exact(dataset):
     assert mc._electors_won(np.zeros((1, 51), bool), house).tolist() == [[0], [0]]
 
 
-def test_serial_parallel_bit_identical(model, dataset):
-    serial = mc.run_batch(model, dataset, trials=20000, seed=0, threads=1)
-    parallel = mc.run_batch(model, dataset, trials=20000, seed=0, threads=4)
-    assert serial.to_json() == parallel.to_json()
-
-
-def _placed_run(monkeypatch, model, dataset, threads, mask=(3, 5), setaffinity=None):
-    """(serial JSON, JSON on `threads` pool threads, affinity calls as
-    (thread, pid, cpus)) with a fake mask; `setaffinity` replaces the
-    recording fake, and False removes the call.  Each thread gets one chunk
-    and holds it until every thread has one, so the pool starts all of them."""
+@pytest.mark.parametrize("threads", [2, 3, 7])
+def test_serial_parallel_bit_identical(model, dataset, monkeypatch, threads):
+    # small chunks give every pool thread work; 7 threads outnumber most CPUs
     monkeypatch.setattr(mc, "_CHUNK", 64)
-    serial = mc.run_batch(model, dataset, trials=64 * threads, seed=5, threads=1)
-    calls = []
-    barrier = threading.Barrier(threads, timeout=30)
-    kernel = mc.trial_columns
-
-    def chunk(*args):
-        barrier.wait()
-        return kernel(*args)
-
-    def record(pid, cpus):
-        calls.append((threading.get_ident(), pid, set(cpus)))
-
-    monkeypatch.setattr(mc, "trial_columns", chunk)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask), raising=False)
-    if setaffinity is False:
-        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
-    else:
-        monkeypatch.setattr(os, "sched_setaffinity", setaffinity or record, raising=False)
-    placed = mc.run_batch(model, dataset, trials=64 * threads, seed=5, threads=threads)
-    return serial.to_json(), placed.to_json(), calls
-
-
-@pytest.mark.parametrize("mask, threads", [((3, 5), 2), ((4,), 3)])
-def test_pool_threads_start_on_separate_cpus(model, dataset, monkeypatch, mask, threads):
-    serial, placed, calls = _placed_run(monkeypatch, model, dataset, threads, mask)
-    assert placed == serial
-    by_thread = {}
-    for ident, pid, cpus in calls:
-        assert pid == 0   # the calling thread, never the process
-        by_thread.setdefault(ident, []).append(cpus)
-    assert len(by_thread) == threads and threading.get_ident() not in by_thread
-    firsts = []
-    for asked in by_thread.values():
-        assert len(asked) == 2 and len(asked[0]) == 1 and asked[1] == set(mask)
-        firsts += asked[0]
-    # round-robin over the mask, wrapping when threads outnumber its CPUs
-    assert sorted(firsts) == sorted(mask[i % len(mask)] for i in range(threads))
-
-
-def test_one_thread_makes_no_affinity_call(model, dataset, monkeypatch):
-    calls = []
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: calls.append(pid) or {0},
-                        raising=False)
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append(pid),
-                        raising=False)
-    mc.run_batch(model, dataset, trials=5000, seed=1, threads=1)
-    assert calls == []
-
-
-def _refuse(pid, cpus):
-    raise OSError(22, "Invalid argument")
-
-
-@pytest.mark.parametrize("api", ["refused", "missing"])
-def test_unplaced_threads_give_the_same_output(model, dataset, monkeypatch, api):
-    serial, placed, calls = _placed_run(monkeypatch, model, dataset, 2,
-                                        setaffinity=_refuse if api == "refused" else False)
-    assert placed == serial and calls == []
+    serial = mc.run_batch(model, dataset, trials=20000, seed=0, threads=1)
+    parallel = mc.run_batch(model, dataset, trials=20000, seed=0, threads=threads)
+    assert serial.to_json() == parallel.to_json()
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity API")
