@@ -43,7 +43,7 @@ def _load(args, parser) -> ds.ElectionDataset:
         data = ds.load_dataset(args.shares, args.structure)
     else:
         data = ds.load_bundled_dataset()
-    if args.start_year != 1964:
+    if any(year < args.start_year for year in data.years):
         # counted first: a dataset of fewer than 2 years cannot be built
         kept = sum(year >= args.start_year for year in data.years)
         if kept < MIN_ELECTIONS:
@@ -387,9 +387,21 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """Exit with main's status; gc.freeze() first keeps every collection off the import heap."""
+    """Exit with main's status; gc.freeze() first keeps every collection off the import heap.
+
+    When main returns, its files are closed and its threads joined, so once
+    stdio is flushed os._exit skips interpreter teardown.  A failed flush is
+    status 1, as a closed stdout is in main; a SystemExit or an exception out
+    of main takes the normal exit path.
+    """
     gc.freeze()
-    sys.exit(main())
+    status = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (OSError, ValueError):
+            status = 1
+    os._exit(status)
 
 
 if __name__ == "__main__":

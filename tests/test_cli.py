@@ -534,7 +534,9 @@ def test_process_errors_are_one_line(tmp_path, flag, value, code):
 
 def test_main_never_freezes(tmp_path, capsys, monkeypatch):
     """In-process main leaves the collector alone, so pytest's ResourceWarning and
-    unraisable-exception gates see every object cycle; gc.freeze is run()'s only."""
+    unraisable-exception gates see every object cycle; gc.freeze is run()'s only,
+    and so is os._exit, after it.  Nothing in the package registers an atexit
+    handler, which os._exit would skip."""
     import ast
     import gc
     from pathlib import Path
@@ -549,16 +551,100 @@ def test_main_never_freezes(tmp_path, capsys, monkeypatch):
             main(argv)
         assert gc.get_freeze_count() == 0, argv
 
-    def freezes(node):
-        return sum(isinstance(n, ast.Attribute) and n.attr == "freeze" for n in ast.walk(node))
-
-    found = {}
-    for path in Path(elections.__file__).parent.glob("*.py"):
+    sites = {"freeze": [], "_exit": []}
+    for path in sorted(Path(elections.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        if freezes(tree):
-            found[path.name] = freezes(tree), [f.name for f in ast.walk(tree)
-                                               if isinstance(f, ast.FunctionDef) and freezes(f)]
-    assert found == {"cli.py": (1, ["run"])}
+        owner = {}
+        for func in ast.walk(tree):   # outer functions first, so the innermost one wins
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(n), func.name) for n in ast.walk(func))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and n.attr in sites:
+                sites[n.attr].append((path.name, owner.get(id(n), "<module>"), n.lineno))
+            assert not (isinstance(n, ast.alias) and n.name in ("atexit", *sites)), path.name
+            assert not (isinstance(n, ast.ImportFrom) and n.module == "atexit"), path.name
+    assert [site[:2] for site in sites["freeze"]] == [("cli.py", "run")]
+    assert [site[:2] for site in sites["_exit"]] == [("cli.py", "run")]
+    assert sites["freeze"][0][2] < sites["_exit"][0][2]
+
+
+def test_main_leaves_no_thread_or_open_file(tmp_path, capsys):
+    """When main returns, run_batch's pool is joined and every output file is
+    closed, so ending the process with os._exit loses nothing."""
+    import os
+    import threading
+    from pathlib import Path
+
+    fds = Path("/proc/self/fd")
+    if not fds.is_dir():
+        pytest.skip("needs /proc/self/fd")
+    threads, opened = threading.enumerate(), sorted(os.listdir(fds))
+    assert run(["simulate", "--trials", "5000", "--threads", "3", "--emit-trials",
+                "--out", str(tmp_path)], capsys)[0] == 0
+    assert threading.enumerate() == threads
+    assert sorted(os.listdir(fds)) == opened
+
+
+@pytest.mark.parametrize("status, out_fault, err_fault, code", [
+    (0, None, None, 0), (1, None, None, 1), (0, BrokenPipeError(), None, 1),
+    (0, None, ValueError("I/O operation on closed file"), 1), (0, OSError(28, "full"), None, 1),
+], ids=["ok", "main-fails", "stdout-pipe-closed", "stderr-closed", "stdout-disk-full"])
+def test_run_flushes_then_exits(monkeypatch, status, out_fault, err_fault, code):
+    """run() flushes stdout and stderr after main and ends with os._exit: main's
+    status, or 1 if a flush fails, never a traceback."""
+    import gc
+    import os
+    import sys
+
+    from elections import cli
+
+    log = []
+
+    class Exit(Exception):
+        pass
+
+    class Stream:
+        def __init__(self, fault):
+            self.fault = fault
+
+        def flush(self):
+            log.append("flush")
+            if self.fault:
+                raise self.fault
+
+    def _exit(value):
+        log.append(value)
+        raise Exit
+
+    monkeypatch.setattr(gc, "freeze", lambda: log.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: log.append("main") or status)
+    monkeypatch.setattr(os, "_exit", _exit)
+    monkeypatch.setattr(sys, "stdout", Stream(out_fault))
+    monkeypatch.setattr(sys, "stderr", Stream(err_fault))
+    with pytest.raises(Exit):
+        cli.run()
+    assert log == ["freeze", "main", "flush", "flush", code]
+
+
+def test_process_stdout_to_a_file(tmp_path, capsys):
+    """stdout into a file is block-buffered: run() flushes it before os._exit."""
+    import subprocess
+    import sys
+
+    argv = ["simulate", "--trials", "2000", "--out", str(tmp_path / "o")]
+    with open(tmp_path / "log", "wb") as log:
+        done = subprocess.run([sys.executable, "-m", "elections.cli", *argv],
+                              env=_child_env(), stdout=log, stderr=subprocess.PIPE, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and len(out.splitlines()) == 3
+    assert (tmp_path / "log").read_text() == out
+
+
+def test_process_scenario_is_mains(capsys):
+    done = _cli(["scenario"])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == run(["scenario"], capsys)[1]
 
 
 @pytest.mark.parametrize("content", [None, "{not json", b"\xff\xfe", "{}", "[]"],
@@ -635,6 +721,17 @@ def test_start_year_leaving_under_two_elections(tmp_path, capsys, save_dataset,
     assert exc.value.code == 2
     assert f"leaves only {left} elections (need >= 3)" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, n", [([], 10), (["--start-year", "1964"], 10),
+                                     (["--start-year", "1968"], 9)])
+def test_start_year_is_a_value_not_a_flag(tmp_path, capsys, save_dataset, argv, n):
+    # on the bundled history shifted back 8 years (1956-2000), the default
+    # start year and an explicit 1964 both drop 1956 and 1960
+    shares, structure = _saved_pair(save_dataset, tmp_path, years=tuple(range(1956, 2004, 4)))
+    code, out, _ = run(["pca", "--shares", str(shares), "--structure", str(structure), *argv],
+                       capsys)
+    assert code == 0 and json.loads(out)["n"] == n
 
 
 @pytest.mark.parametrize("flag", ["--shares", "--structure"])
