@@ -49,4 +49,6 @@ simulate t20000_s2_1992 --trials 20000 --seed 2 --start-year 1992
 run pca > "$out/pca.json"
 run pca --start-year 1992 > "$out/pca_1992.json"
 run pca --loadings 1 > "$out/pca_loadings1.csv"
+# the last component of a 4-component model
+run pca --start-year 1992 --loadings 4 > "$out/pca_1992_loadings4.csv"
 run scenario > "$out/scenario.txt"

@@ -124,10 +124,6 @@ class ElectionDataset:
         object.__setattr__(self, "turnout", turnout)
         object.__setattr__(self, "house_electors", house)
 
-    @property
-    def n_years(self) -> int:
-        return len(self.years)
-
     def restrict_years(self, start_year: int) -> "ElectionDataset":
         """Drop elections before start_year, keeping structure unchanged."""
         keep = [t for t, y in enumerate(self.years) if y >= start_year]

@@ -334,7 +334,7 @@ def _records(table: TrialTable) -> tuple:
 def emit_figure_data(table: TrialTable, emit_trials: bool) -> dict:
     """Tabular data behind the scatter figures and the per-trial records.
 
-    Returns {name: (header, columns)} for cli.write_csv, over FIGURES[:2],
+    Returns {name: (header, columns)} for csvout.write_csv, over FIGURES[:2],
     or all of FIGURES with emit_trials: one column per header name over the
     classified trials, in trial order.  Every bounded column is an (index,
     fields) pair whose fields cover its whole range: H, S, diff, the code,

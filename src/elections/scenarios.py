@@ -55,9 +55,9 @@ def run_all_scenarios() -> dict[str, ScenarioResult]:
     return {code: run_scenario(code) for code in SCENARIO_SHARES}
 
 
-def format_scenarios() -> str:
+def format_scenarios(results: dict[str, ScenarioResult]) -> str:
     lines = []
-    for code, res in run_all_scenarios().items():
+    for code, res in results.items():
         lines.append(f"{code}, {SCENARIO_TITLES[code]}")
         lines.append("state  A%    pop A  pop B   H+S A  H+S B   H A  H B")
         for s, share in enumerate(res.shares):

@@ -8,8 +8,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elections.cli import (BINS_LIMIT, K_LIMIT, SLICE_ROWS, THREADS_LIMIT, TRIALS_LIMIT,
-                           build_parser, main, write_csv)
+from elections.cli import BINS_LIMIT, K_LIMIT, THREADS_LIMIT, TRIALS_LIMIT, build_parser, main
+from elections.csvout import SLICE_ROWS, write_csv
 
 
 def run(argv, capsys):
@@ -46,6 +46,23 @@ def test_pca_loadings_csv(capsys):
     assert len(rows) == 52
     coeffs = [float(r[1]) for r in rows[1:]]
     assert coeffs == sorted(coeffs)
+
+
+@pytest.mark.parametrize("start_year, components", [(1964, 11), (1992, 4)])
+def test_pca_loadings_are_csv_writers_text(capsys, start_year, components):
+    """Every component's table is what csv.writer writes of the repr'd coefficients."""
+    from elections import fit_pca, load_bundled_dataset, loadings_report
+
+    model = fit_pca(load_bundled_dataset().restrict_years(start_year))
+    assert model.n_components == components
+    for j in range(1, components + 1):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["state", f"eigenvec{j}"])
+        for name, coeff in loadings_report(model, j):
+            writer.writerow([name, repr(coeff)])
+        argv = ["pca", "--start-year", str(start_year), "--loadings", str(j)]
+        assert run(argv, capsys)[:2] == (0, buf.getvalue())
 
 
 def test_pca_loadings_out_of_range(capsys):
@@ -332,10 +349,6 @@ COLUMN_VALUES = st.one_of(
 )
 
 
-# a new file name per write: truncating a file just written can take tens of ms
-_WRITES = itertools.count()
-
-
 def _table(specs, n, seed):
     """write_csv columns of n rows drawn from each spec's values, and the rows."""
     import numpy as np
@@ -353,32 +366,52 @@ def _table(specs, n, seed):
     return columns, list(zip(*values))
 
 
-def _check_write_csv(path, specs, n, seed):
-    """The file is csv.writer's text."""
+def _check_write_csv(specs, n, seed):
+    """The stream gets csv.writer's text."""
     columns, rows = _table(specs, n, seed)
     header = [f"c{i}" for i in range(len(columns))]
-    write_csv(path, header, columns)
-    assert path.read_bytes().decode("utf-8") == rendered(header, rows)
+    out = io.BytesIO()
+    write_csv(out, header, columns)
+    assert out.getvalue().decode("utf-8") == rendered(header, rows)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 50])
 @settings(max_examples=40, deadline=None)
 @given(st.lists(COLUMN_VALUES, min_size=1, max_size=5), st.integers(0, 2**32))
-def test_write_csv_matches_csv_writer(tmp_path_factory, n, specs, seed):
+def test_write_csv_matches_csv_writer(n, specs, seed):
     from unittest import mock
 
-    from elections import cli
+    from elections import csvout
 
     # slices of 3 rows, so that n = 7 and 50 span several
-    with mock.patch.object(cli, "SLICE_ROWS", 3):
-        _check_write_csv(tmp_path_factory.getbasetemp() / f"property{next(_WRITES)}.csv",
-                         specs, n, seed)
+    with mock.patch.object(csvout, "SLICE_ROWS", 3):
+        _check_write_csv(specs, n, seed)
 
 
-def test_write_csv_above_one_slice(tmp_path):
+def test_write_csv_above_one_slice():
     pairs = [("pair", ["0", "436", "-538"]), ("pair", ["WW", "D"]), ("pair", ["x"])]
     for specs in (pairs, pairs + [("float", [-0.0, 0.1 + 0.2]), ("int", [3, -2, 10**8])]):
-        _check_write_csv(tmp_path / "big.csv", specs, SLICE_ROWS + 5, 0)
+        _check_write_csv(specs, SLICE_ROWS + 5, 0)
+
+
+def test_write_csv_appends_to_what_the_stream_holds(tmp_path):
+    """On a stream that already holds bytes, write_csv keeps them and appends
+    exactly what it writes to a fresh file, without a seek or a truncate."""
+    class AppendOnly(io.BytesIO):
+        def seek(self, *args):
+            raise AssertionError("seek")
+
+        def truncate(self, *args):
+            raise AssertionError("truncate")
+
+    specs = [("pair", ["WW", "LL"]), ("float", [1e8 + 0.1, -0.0]), ("int", [-2, 10**8])]
+    columns, _ = _table(specs, SLICE_ROWS + 5, 0)
+    with open(tmp_path / "fresh.csv", "wb") as f:
+        write_csv(f, ["code", "pop", "n"], columns)
+    held = AppendOnly()
+    held.write(b"kept,bytes\n")
+    write_csv(held, ["code", "pop", "n"], columns)
+    assert held.getvalue() == b"kept,bytes\n" + (tmp_path / "fresh.csv").read_bytes()
 
 
 # floats that write_csv renders from their bits, in [2**23, 2**53): powers of two,
@@ -404,23 +437,23 @@ REPRD = st.one_of(
     st.floats(min_value=2.0**53))
 
 
-def _written(directory, columns) -> list:
+def _written(columns) -> list:
     """The lines write_csv writes for columns, without the header."""
-    path = directory / f"written{next(_WRITES)}.csv"
-    write_csv(path, [f"c{i}" for i in range(len(columns))], columns)
-    return path.read_bytes().decode("utf-8").split("\n")[1:-1]
+    out = io.BytesIO()
+    write_csv(out, [f"c{i}" for i in range(len(columns))], columns)
+    return out.getvalue().decode("utf-8").split("\n")[1:-1]
 
 
 @settings(max_examples=1000, deadline=None)
 @given(st.lists(st.one_of(RENDERED, REPRD), min_size=1, max_size=30))
-def test_float_column_is_repr(tmp_path_factory, values):
+def test_float_column_is_repr(values):
     """A float column, mixing rendered and repr'd rows, is repr's text."""
     import numpy as np
 
-    assert _written(tmp_path_factory.getbasetemp(), [np.array(values)]) == list(map(repr, values))
+    assert _written([np.array(values)]) == list(map(repr, values))
 
 
-def test_float_edges_and_ties(tmp_path):
+def test_float_edges_and_ties():
     """Halfway ties go to the even digit; each edge of [2**23, 2**53) is repr's."""
     import numpy as np
 
@@ -428,7 +461,7 @@ def test_float_edges_and_ties(tmp_path):
               math.nextafter(2.0**23, 0), 2**23 + 2**-29, 1e7, math.nextafter(1e7, 0),
               2.0**53 - 1, 2.0**53, 2.0**52, 2.0**52 + 1, 2.0**24, 12345678.5, 10**7 + 2**-29,
               99999999.99999999, 1e7 / 3, math.nan, -0.0]
-    assert _written(tmp_path, [np.array(values)]) == [
+    assert _written([np.array(values)]) == [
         "8796093022208.062", "8796093022208.188", "17592186044416.03", "8388608.0",
         "8388607.999999999", "8388608.000000002", "10000000.0", "9999999.999999998",
         "9007199254740991.0", "9007199254740992.0", "4503599627370496.0",
@@ -436,16 +469,16 @@ def test_float_edges_and_ties(tmp_path):
         "99999999.99999999", "3333333.3333333335", "nan", "-0.0"]
 
 
-def test_int64_edges_and_non_ascii_fields(tmp_path):
+def test_int64_edges_and_non_ascii_fields():
     import numpy as np
 
     ints = np.array([-2**63, 2**63 - 1, 0, -1, 10**4, -9999], dtype=np.int64)
     fields = ("é", "中文", "\U0001f5f3", "x\x00y", "", "ÿ")
     index = np.array([0, 1, 2, 3, 4, 5])
     rows = list(zip(ints.tolist(), [fields[i] for i in index.tolist()], [1e8 + 0.1] * 6))
-    assert _written(tmp_path, [ints, (index, fields), np.full(6, 1e8 + 0.1)]) == \
+    assert _written([ints, (index, fields), np.full(6, 1e8 + 0.1)]) == \
         rendered(["c0", "c1", "c2"], rows).split("\n")[1:-1]
-    assert _written(tmp_path, [(index, fields), (index[::-1], fields)]) == \
+    assert _written([(index, fields), (index[::-1], fields)]) == \
         [f"{fields[i]},{fields[j]}" for i, j in zip(index.tolist(), index[::-1].tolist())]
 
 
@@ -491,6 +524,36 @@ def test_closed_stdout_is_a_clean_exit(argv):
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (1, "")
+
+
+@pytest.mark.parametrize("stdout", ["full", "closed"])
+@pytest.mark.parametrize("argv", [["pca"], ["pca", "--loadings", "1"], ["scenario"],
+                                  ["simulate", "--trials", "100"], ["report"]],
+                         ids=["pca", "loadings", "scenario", "simulate", "report"])
+def test_failed_stdout_is_one_line(tmp_path, capsys, stdout, argv):
+    """stdout on /dev/full, or fd 1 closed at start, is exit 1 with one stderr
+    line; simulate with no stdout writes no file."""
+    import os
+    import subprocess
+    import sys
+
+    if not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    if argv == ["report"]:
+        assert run(["simulate", "--trials", "100", "--out", str(tmp_path / "r")], capsys)[0] == 0
+        argv = ["report", str(tmp_path / "r" / "run_summary.json")]
+    elif argv[0] == "simulate":
+        argv = [*argv, "--out", str(tmp_path / "s")]
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "elections.cli", *argv], env=_child_env(),
+            stdout=full if stdout == "full" else None, stderr=subprocess.PIPE, text=True,
+            preexec_fn=None if stdout == "full" else lambda: os.close(1))
+    assert done.returncode == 1
+    assert len(done.stderr.splitlines()) == 1 and "Traceback" not in done.stderr
+    assert "error: cannot write to stdout: [Errno" in done.stderr
+    if stdout == "closed" and argv[0] == "simulate":
+        assert not (tmp_path / "s").exists()
 
 
 def _cli(argv):

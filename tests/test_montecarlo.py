@@ -331,13 +331,13 @@ def test_emit_figure_data(summary_20k):
         assert (dem_pop > rep_pop) == (rec.popular_winner == DEM)
 
 
-def test_figure_files_at_the_ends_of_each_range(tmp_path):
+def test_figure_files_at_the_ends_of_each_range():
     """Rows at both ends of H, S and diff, with both parties, both California
     values and all four codes, are written as csv.writer writes their values."""
     import csv
     import io
 
-    from elections.cli import write_csv
+    from elections.csvout import write_csv
 
     # pw_house, pw_states, pw_dem, carried_ca, and the code and diff they give
     rows = [(436, 51, True, True, "WW", 538), (0, 0, True, False, "LL", -538),
@@ -357,23 +357,26 @@ def test_figure_files_at_the_ends_of_each_range(tmp_path):
     files = mc.emit_figure_data(table, True)
     for name, values in expected.items():
         header, columns = files[name]
-        write_csv(tmp_path / "edges.csv", header, columns)
-        buf = io.StringIO()
+        out, buf = io.BytesIO(), io.StringIO()
+        write_csv(out, header, columns)
         csv.writer(buf, lineterminator="\n").writerows([header, *values])
-        assert (tmp_path / "edges.csv").read_text() == buf.getvalue()
+        assert out.getvalue().decode() == buf.getvalue()
     assert [mc.CODES[c] for c in table.codes()] == codes.tolist()
     assert table.diffs().tolist() == diffs.tolist()
 
 
-def test_emit_figure_data_errors(tmp_path):
-    from elections.cli import write_csv
+def test_emit_figure_data_errors():
+    import io
+
+    from elections.csvout import write_csv
 
     degenerate = make_table(0, trials=1, tied_state=np.array([0]))
     for name, (header, columns) in mc.emit_figure_data(degenerate, True).items():
         assert header == HEADERS[name]
         assert len(columns) == len(header) and all(_values(c) == [] for c in columns)
-        write_csv(tmp_path / "empty.csv", header, columns)   # the header only
-        assert (tmp_path / "empty.csv").read_text() == ",".join(header) + "\n"
+        out = io.BytesIO()
+        write_csv(out, header, columns)   # the header only
+        assert out.getvalue().decode() == ",".join(header) + "\n"
 
 
 def test_emit_histogram_empty_when_all_ww():
