@@ -35,7 +35,7 @@ from .pca import (
     loadings_report,
     variance_explained,
 )
-from .tally import TallyResult, electoral_totals, pool, popular_totals, state_winners
+from .tally import TallyResult, electoral_totals, pool
 
 __version__ = "0.1.0"
 
@@ -45,6 +45,5 @@ __all__ = [
     "draw_noise", "generate_shares", "OutcomeRecord", "RunSummary",
     "SweepResult", "classify", "emit_figure_data", "run_batch", "senate_sweep",
     "PcaModel", "center", "covariance", "fit_pca", "loadings_report",
-    "variance_explained", "TallyResult", "electoral_totals", "pool",
-    "popular_totals", "state_winners", "__version__",
+    "variance_explained", "TallyResult", "electoral_totals", "pool", "__version__",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import errno
 import gc
+import io
 import json
 import os
 import sys
@@ -54,6 +55,12 @@ def _load(args, parser) -> ds.ElectionDataset:
     return data
 
 
+def _failed(what: str, exc: Exception) -> int:
+    """Status 1 after one stderr line naming what failed and why."""
+    print(f"error: {what}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 1
+
+
 def _add_data_args(sub):
     sub.add_argument("--shares", help="share history CSV (default: bundled data)")
     sub.add_argument("--structure", help="turnout/elector CSV (default: bundled data)")
@@ -69,8 +76,10 @@ def cmd_pca(args, parser) -> int:
         if not 1 <= args.loadings <= model.n_components:
             parser.error(f"--loadings must be in 1..{model.n_components}")
         names, coeffs = zip(*pc.loadings_report(model, args.loadings))
-        write_csv(sys.stdout.buffer, ["state", f"eigenvec{args.loadings}"],
+        table = io.BytesIO()   # sys.stdout may be any text stream
+        write_csv(table, ["state", f"eigenvec{args.loadings}"],
                   [(np.arange(len(names)), names), np.array(coeffs)])
+        sys.stdout.write(table.getvalue().decode())
         return 0
     out = {
         "n": model.n,
@@ -93,9 +102,7 @@ def cmd_simulate(args, parser) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: cannot create {out_dir}: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return 1
+        return _failed(f"cannot create {out_dir}", exc)
     # a target that is there but is no file fails before anything is written
     names = ["run_summary.json", "senate_sweep.json", *mc.FIGURES[:2 + args.emit_trials],
              "diff_histogram.csv"]
@@ -105,26 +112,38 @@ def cmd_simulate(args, parser) -> int:
     summary = mc.run_batch(model, data, trials=args.trials, seed=args.seed,
                            threads=args.threads, bin_width=args.bins)
     sweep = mc.senate_sweep(summary.table, k_values=args.k_values)
+    files = {"run_summary.json": summary.to_json() + "\n",
+             "senate_sweep.json": json.dumps(sweep.to_dict(), sort_keys=True, indent=2) + "\n",
+             **mc.emit_figure_data(summary.table, args.emit_trials),
+             "diff_histogram.csv": (["bin_lo", "bin_hi", "count"], np.array(
+                 summary.diff_histogram, dtype=np.int64).reshape(-1, 3).T)}
+    # staged files replace the outputs only once all are written: a failed run changes nothing
+    staged = {name: out_dir / f".{name}.{os.getpid()}.tmp" for name in files}
     try:
-        (out_dir / "run_summary.json").write_text(summary.to_json() + "\n")
-        (out_dir / "senate_sweep.json").write_text(
-            json.dumps(sweep.to_dict(), sort_keys=True, indent=2) + "\n")
-        figures = mc.emit_figure_data(summary.table, args.emit_trials)
-        figures["diff_histogram.csv"] = (["bin_lo", "bin_hi", "count"], np.array(
-            summary.diff_histogram, dtype=np.int64).reshape(-1, 3).T)
-        for name, figure in figures.items():
-            with open(out_dir / name, "wb") as f:
-                write_csv(f, *figure)
-    except OSError as exc:
-        print(f"error: cannot write to {out_dir}: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return 1
-    print(f"trials={summary.trials} seed={summary.seed}")
-    print(f"unpopular_full={summary.unpopular_full:.4f} "
-          f"unpopular_house={summary.unpopular_house:.4f} "
-          f"states_won={sweep.states_won_limit:.4f} "
-          f"dem_win_rate={summary.dem_win_rate:.4f}")
-    print(f"outputs in {out_dir}")
+        try:
+            for name, content in files.items():
+                with open(staged[name], "wb") as f:
+                    if isinstance(content, str):
+                        f.write(content.encode())
+                    else:
+                        write_csv(f, *content)
+        except OSError as exc:
+            return _failed(f"cannot write to {out_dir}", exc)
+        print(f"trials={summary.trials} seed={summary.seed}")
+        print(f"unpopular_full={summary.unpopular_full:.4f} "
+              f"unpopular_house={summary.unpopular_house:.4f} "
+              f"states_won={sweep.states_won_limit:.4f} "
+              f"dem_win_rate={summary.dem_win_rate:.4f}")
+        print(f"outputs in {out_dir}")
+        sys.stdout.flush()   # a stdout that fails is main's error, raised before any replace
+        try:
+            for name, path in staged.items():
+                os.replace(path, out_dir / name)
+        except OSError as exc:
+            return _failed(f"cannot write to {out_dir}", exc)
+    finally:
+        for path in staged.values():
+            path.unlink(missing_ok=True)
     return 0
 
 
@@ -177,9 +196,7 @@ def cmd_report(args, parser) -> int:
         if deg["tied_state"] or deg["tied_popular"]:
             lines.append(f"Degenerate trials: {deg}")
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: cannot read {args.summary}: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return 1
+        return _failed(f"cannot read {args.summary}", exc)
     print("\n".join(lines))
     return 0
 

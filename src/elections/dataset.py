@@ -135,15 +135,33 @@ class ElectionDataset:
         )
 
 
-def _read_rows(path) -> list[dict]:
+def _cells(path, key, parse) -> dict:
+    """{(state index, *key(row)): parse(row)} over the data rows of one CSV file.
+
+    A file that cannot be read, a row that does not parse, an unknown state
+    and a repeated cell are each a MalformedRow that names the file.
+    """
+    cells = {}
     try:
         with open(path, newline="", encoding="utf-8") as f:
             reader = csv.DictReader(f)
             if reader.fieldnames is None:
                 raise MalformedRow(f"{path}: empty file")
-            return list(reader)
+            for row in reader:
+                try:
+                    state = row["state"].strip()
+                    cell = (STATE_INDEX.get(state), *key(row))
+                    value = parse(row)
+                except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+                    raise MalformedRow(f"{path}: bad row {row!r}") from exc
+                if cell[0] is None:
+                    raise MalformedRow(f"{path}: unknown state {state!r}")
+                if cell in cells:
+                    raise MalformedRow(f"{path}: duplicate row {row!r}")
+                cells[cell] = value
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise MalformedRow(f"{path}: cannot read: {exc}") from exc
+    return cells
 
 
 def load_dataset(shares_path, structure_path) -> ElectionDataset:
@@ -153,66 +171,25 @@ def load_dataset(shares_path, structure_path) -> ElectionDataset:
     ``state,year,dem_votes,rep_votes``; the structure file has header
     ``state,turnout_two_party_2008,house_electors``.
     """
-    share_rows = _read_rows(shares_path)
-    if not share_rows:
-        raise MissingState(f"{shares_path}: no data rows")
-    has_share = "dem_share" in share_rows[0]
-    has_votes = "dem_votes" in share_rows[0] and "rep_votes" in share_rows[0]
-    if not (has_share or has_votes):
-        raise MalformedRow(
-            f"{shares_path}: expected dem_share or dem_votes/rep_votes columns"
-        )
-
-    cells: dict[tuple[int, int], float] = {}
-    for row in share_rows:
-        try:
-            state = row["state"].strip()
-            year = int(row["year"])
-            if has_share:
-                share = float(row["dem_share"])
-            else:
-                share = two_party_share(float(row["dem_votes"]), float(row["rep_votes"]))
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise MalformedRow(f"{shares_path}: bad row {row!r}") from exc
-        if state not in STATE_INDEX:
-            raise MalformedRow(f"{shares_path}: unknown state {state!r}")
-        if (year, STATE_INDEX[state]) in cells:
-            raise MalformedRow(f"{shares_path}: duplicate row for {state} {year}")
-        cells[year, STATE_INDEX[state]] = share
-
-    years = tuple(sorted({year for year, _ in cells}))
+    cells = _cells(shares_path, lambda row: (int(row["year"]),), lambda row: (
+        float(row["dem_share"]) if "dem_share" in row
+        else two_party_share(float(row["dem_votes"]), float(row["rep_votes"]))))
+    years = tuple(sorted({year for _, year in cells}))
     if len(years) < N_YEARS:
         raise MissingState(f"{shares_path}: {len(years)} years present, expected {N_YEARS}")
     shares = np.empty((len(years), N_STATES))
     for t, year in enumerate(years):
-        missing = [s for s in range(N_STATES) if (year, s) not in cells]
+        missing = [s for s in range(N_STATES) if (s, year) not in cells]
         if missing:
             raise MissingState(f"{shares_path}: year {year} missing {STATE_NAMES[missing[0]]}")
-        shares[t] = [cells[year, s] for s in range(N_STATES)]
+        shares[t] = [cells[s, year] for s in range(N_STATES)]
 
-    struct_rows = _read_rows(structure_path)
-    turnout = np.zeros(N_STATES, dtype=np.int64)
-    house = np.zeros(N_STATES, dtype=np.int64)
-    seen = set()
-    for row in struct_rows:
-        try:
-            state = row["state"].strip()
-            t_count = np.int64(int(row["turnout_two_party_2008"]))
-            h_count = np.int64(int(row["house_electors"]))
-        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-            raise MalformedRow(f"{structure_path}: bad row {row!r}") from exc
-        if state not in STATE_INDEX:
-            raise MalformedRow(f"{structure_path}: unknown state {state!r}")
-        idx = STATE_INDEX[state]
-        if idx in seen:
-            raise MalformedRow(f"{structure_path}: duplicate row for {state}")
-        turnout[idx] = t_count
-        house[idx] = h_count
-        seen.add(idx)
-    if len(seen) < N_STATES:
-        missing = sorted(set(range(N_STATES)) - seen)
+    counts = _cells(structure_path, lambda row: (), lambda row: [
+        np.int64(int(row[name])) for name in ("turnout_two_party_2008", "house_electors")])
+    missing = [s for s in range(N_STATES) if (s,) not in counts]
+    if missing:
         raise MissingState(f"{structure_path}: missing {STATE_NAMES[missing[0]]}")
-
+    turnout, house = np.array([counts[s,] for s in range(N_STATES)], dtype=np.int64).T.copy()
     return ElectionDataset(years=years, shares=shares, turnout=turnout,
                            house_electors=house)
 

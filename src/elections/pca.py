@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import STATE_NAMES, ElectionDataset
+from .dataset import STATE_NAMES
 
 # Eigenvalues below lam_max * ZERO_CUTOFF are numerically zero and dropped.
 ZERO_CUTOFF = 1e-10
@@ -27,15 +27,6 @@ class DegenerateSample(PcaError):
 
 class IndexOutOfRange(PcaError, IndexError):
     """Component index outside 1..n_components."""
-
-
-@dataclass(frozen=True)
-class DeviationMatrix:
-    """Share deviations from per-state means, plus the means themselves."""
-
-    devs: np.ndarray  # (n, 51)
-    mean: np.ndarray  # (51,)
-    n: int
 
 
 @dataclass(frozen=True)
@@ -57,22 +48,21 @@ class PcaModel:
         return len(self.eigenvalues)
 
 
-def center(dataset) -> DeviationMatrix:
-    """Subtract each state's mean share across elections.
+def center(dataset) -> np.ndarray:
+    """The (n, n_states) deviations of each state's share from its mean across elections.
 
     Accepts an ElectionDataset or a bare (n, n_states) share matrix.
     """
-    shares = dataset.shares if isinstance(dataset, ElectionDataset) else np.asarray(dataset, dtype=float)
-    mean = shares.mean(axis=0)
-    devs = shares - mean
-    return DeviationMatrix(devs=devs, mean=mean, n=shares.shape[0])
+    shares = np.asarray(getattr(dataset, "shares", dataset), dtype=float)
+    return shares - shares.mean(axis=0)
 
 
-def covariance(devs: DeviationMatrix) -> np.ndarray:
-    """Sample covariance (devs' devs) / (n - 1)."""
-    if devs.n < 2:
-        raise DegenerateSample(f"need n >= 2 observations, got {devs.n}")
-    return devs.devs.T @ devs.devs / (devs.n - 1)
+def covariance(devs: np.ndarray) -> np.ndarray:
+    """Sample covariance (devs' devs) / (n - 1) of n deviation rows."""
+    n = len(devs)
+    if n < 2:
+        raise DegenerateSample(f"need n >= 2 observations, got {n}")
+    return devs.T @ devs / (n - 1)
 
 
 def _apply_sign_convention(vectors: np.ndarray) -> np.ndarray:
@@ -86,8 +76,9 @@ def _apply_sign_convention(vectors: np.ndarray) -> np.ndarray:
 
 def fit_pca(dataset) -> PcaModel:
     """Eigendecompose the sample covariance and keep the nonzero spectrum."""
-    dm = center(dataset)
-    cov = covariance(dm)
+    shares = np.asarray(getattr(dataset, "shares", dataset), dtype=float)
+    mean = shares.mean(axis=0)
+    cov = covariance(shares - mean)
     lam, vecs = np.linalg.eigh(cov)
     order = np.argsort(lam)[::-1]
     lam = lam[order]
@@ -100,9 +91,8 @@ def fit_pca(dataset) -> PcaModel:
     vecs = _apply_sign_convention(vecs[keep])
     lam.flags.writeable = False
     vecs.flags.writeable = False
-    mean = dm.mean.copy()
     mean.flags.writeable = False
-    return PcaModel(mean=mean, eigenvalues=lam, eigenvectors=vecs, n=dm.n)
+    return PcaModel(mean=mean, eigenvalues=lam, eigenvectors=vecs, n=len(shares))
 
 
 def variance_explained(model: PcaModel, k: int) -> float:

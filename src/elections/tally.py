@@ -66,33 +66,21 @@ class TallyResult:
         return dem, pool(self.house_total, self.n_states, k) - dem
 
 
-def state_winners(clamped: np.ndarray) -> np.ndarray:
-    """Boolean vector: True where the Democrat carries the state (share > 0.5)."""
+def electoral_totals(clamped, turnout, house_electors,
+                     senate_per_state: int = FULL) -> TallyResult:
+    """Tally one share vector, raising TiedState on an exact 0.5 share; the
+    result answers any rule via TallyResult.totals."""
     clamped = np.asarray(clamped, dtype=float)
+    turnout = np.asarray(turnout, dtype=float)
+    house = np.asarray(house_electors, dtype=np.int64)
     tied = np.nonzero(clamped == 0.5)[0]
     if len(tied):
         raise TiedState(f"exact 0.5 share in state index {int(tied[0])}")
-    return clamped > 0.5
-
-
-def popular_totals(clamped: np.ndarray, turnout: np.ndarray) -> tuple[float, float]:
-    """Real-valued (dem, rep) popular vote totals."""
-    clamped = np.asarray(clamped, dtype=float)
-    turnout = np.asarray(turnout, dtype=float)
-    dem = float(clamped @ turnout)
-    return dem, float(turnout.sum() - dem)
-
-
-def electoral_totals(clamped, turnout, house_electors,
-                     senate_per_state: int = FULL) -> TallyResult:
-    """Tally one share vector; the result answers any rule via TallyResult.totals."""
-    clamped = np.asarray(clamped, dtype=float)
-    house = np.asarray(house_electors, dtype=np.int64)
-    dem_won = state_winners(clamped)
-    dem_pop, rep_pop = popular_totals(clamped, turnout)
+    dem_won = clamped > 0.5
+    dem_pop = float(clamped @ turnout)
     return TallyResult(
         dem_pop=dem_pop,
-        rep_pop=rep_pop,
+        rep_pop=float(turnout.sum() - dem_pop),
         dem_house=int(house[dem_won].sum()),
         dem_states=int(dem_won.sum()),
         house_total=int(house.sum()),

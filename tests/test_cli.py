@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from elections.cli import BINS_LIMIT, K_LIMIT, THREADS_LIMIT, TRIALS_LIMIT, build_parser, main
 from elections.csvout import SLICE_ROWS, write_csv
+from elections.generator import SEED_LIMIT
 
 
 def run(argv, capsys):
@@ -50,7 +51,8 @@ def test_pca_loadings_csv(capsys):
 
 @pytest.mark.parametrize("start_year, components", [(1964, 11), (1992, 4)])
 def test_pca_loadings_are_csv_writers_text(capsys, start_year, components):
-    """Every component's table is what csv.writer writes of the repr'd coefficients."""
+    """Every component's table is what csv.writer writes of the repr'd coefficients,
+    on pytest's stdout and on a text-only one, which has no binary buffer."""
     from elections import fit_pca, load_bundled_dataset, loadings_report
 
     model = fit_pca(load_bundled_dataset().restrict_years(start_year))
@@ -63,6 +65,10 @@ def test_pca_loadings_are_csv_writers_text(capsys, start_year, components):
             writer.writerow([name, repr(coeff)])
         argv = ["pca", "--start-year", str(start_year), "--loadings", str(j)]
         assert run(argv, capsys)[:2] == (0, buf.getvalue())
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            assert main(argv) == 0
+        assert text.getvalue() == buf.getvalue()
 
 
 def test_pca_loadings_out_of_range(capsys):
@@ -532,7 +538,8 @@ def test_closed_stdout_is_a_clean_exit(argv):
                          ids=["pca", "loadings", "scenario", "simulate", "report"])
 def test_failed_stdout_is_one_line(tmp_path, capsys, stdout, argv):
     """stdout on /dev/full, or fd 1 closed at start, is exit 1 with one stderr
-    line; simulate with no stdout writes no file."""
+    line; simulate with no stdout writes no file, and into a directory that
+    holds a previous run's outputs it leaves them byte-identical."""
     import os
     import subprocess
     import sys
@@ -544,6 +551,9 @@ def test_failed_stdout_is_one_line(tmp_path, capsys, stdout, argv):
         argv = ["report", str(tmp_path / "r" / "run_summary.json")]
     elif argv[0] == "simulate":
         argv = [*argv, "--out", str(tmp_path / "s")]
+        if stdout == "full":   # a previous run's outputs, from another seed
+            assert run([*argv, "--seed", "1"], capsys)[0] == 0
+    before = _files(tmp_path / "s")
     with open("/dev/full", "wb") as full:
         done = subprocess.run(
             [sys.executable, "-m", "elections.cli", *argv], env=_child_env(),
@@ -554,6 +564,40 @@ def test_failed_stdout_is_one_line(tmp_path, capsys, stdout, argv):
     assert "error: cannot write to stdout: [Errno" in done.stderr
     if stdout == "closed" and argv[0] == "simulate":
         assert not (tmp_path / "s").exists()
+    assert _files(tmp_path / "s") == before
+
+
+def _files(directory) -> dict:
+    """{name: bytes} of every file in directory, hidden ones too; {} if it is not there."""
+    return {p.name: p.read_bytes() for p in directory.iterdir()} if directory.exists() else {}
+
+
+def test_failed_simulate_leaves_previous_outputs(tmp_path, capsys):
+    """A simulate that fails writing trials.csv, under a file-size limit set on its
+    own process, leaves the previous run's six files byte-identical and no
+    temporary file."""
+    import signal
+    import subprocess
+    import sys
+
+    resource = pytest.importorskip("resource")
+    limit = 600_000
+    out = tmp_path / "o"
+    argv = ["simulate", "--trials", "20000", "--emit-trials", "--out", str(out)]
+    assert run([*argv, "--seed", "5"], capsys)[0] == 0
+    before = _files(out)
+    assert len(before) == 6 and len(before["trials.csv"]) > limit
+
+    def limited():   # runs in the child only, before exec
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    done = subprocess.run([sys.executable, "-m", "elections.cli", *argv, "--seed", "6"],
+                          env=_child_env(), capture_output=True, text=True, preexec_fn=limited)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert len(done.stderr.splitlines()) == 1 and "Traceback" not in done.stderr
+    assert f"cannot write to {out}" in done.stderr
+    assert _files(out) == before
 
 
 def _cli(argv):
@@ -862,6 +906,87 @@ def test_malformed_csv_fails_cleanly(tmp_path_factory, save_dataset, target, mut
     lines = err.getvalue().splitlines()
     assert len(lines) <= 1 and "Traceback" not in err.getvalue()
     assert (code == 0) == (lines == [])
+
+
+def _values(*values):
+    return st.sampled_from([str(v) for v in values])
+
+
+def _flag(name, values):
+    return values.map(lambda value: [name, value])
+
+
+# every command's flags, each with valid, boundary and invalid values; the upper
+# case tokens stand for paths made per example.  A valid --trials stays small, so
+# a valid --threads, even THREADS_LIMIT - 1, starts at most two pool threads
+DATA_FLAGS = [
+    st.just(["--shares", "SHARES", "--structure", "STRUCTURE"]),
+    _flag("--shares", st.sampled_from(["SHARES", "MISSING"])),
+    _flag("--structure", st.sampled_from(["STRUCTURE", "MISSING"])),
+    _flag("--start-year", _values(1964, 1988, 1992, 2000, 2004, 1965, 2100, "x")),
+]
+GRAMMAR = {
+    "pca": DATA_FLAGS + [_flag("--loadings", _values(1, 4, 11, 0, 12, -1, "x"))],
+    "simulate": DATA_FLAGS + [
+        _flag("--trials", st.integers(1, 3000).map(str) | _values(1, 0, -1, TRIALS_LIMIT, "x")),
+        _flag("--seed", _values(0, 7, SEED_LIMIT - 1, SEED_LIMIT, -1)),
+        _flag("--threads", _values(1, 2, THREADS_LIMIT - 1, THREADS_LIMIT, 0)),
+        _flag("--bins", _values(1, 20, BINS_LIMIT - 1, BINS_LIMIT, 0)),
+        _flag("--k-values", _values(0, 2, K_LIMIT - 1, K_LIMIT, -1)),
+        _flag("--out", st.sampled_from(["OUT", "FILE"])),
+        st.just(["--emit-trials"]),
+    ],
+    "scenario": [],
+    "report": [],
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["pca", "simulate", "simulate", "scenario", "report"]))
+    argv = [command]
+    if command == "report":
+        argv += draw(st.sampled_from([["SUMMARY"], ["MISSING"], ["SHARES"], []]))
+    flags = draw(st.permutations(GRAMMAR[command]))
+    for flag in flags[:draw(st.integers(0, len(flags)))]:
+        argv += draw(flag)
+    if command == "simulate":   # never the default 20000 trials, nor the default --out
+        argv += [] if "--trials" in argv else ["--trials", "2000"]
+        argv += [] if "--out" in argv else ["--out", "OUT"]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv(), st.sampled_from([None, 0, 1]), MUTATIONS)
+def test_main_fails_cleanly_on_any_argv(tmp_path_factory, save_dataset, argv, target,
+                                        mutations):
+    """In-process main, on argv from every command's flags and on valid or mutated
+    data files: status 0, 1 or 2, no exception, at most one stderr line beside
+    --start-year's warning, and no staged file left in any --out."""
+    summary = tmp_path_factory.getbasetemp() / "summary" / "run_summary.json"
+    if not summary.exists():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--trials", "100", "--out", str(summary.parent)]) == 0
+    directory = tmp_path_factory.mktemp("argv")
+    paths = _saved_pair(save_dataset, directory)
+    if target is not None:
+        paths[target].write_bytes(_mutate(paths[target].read_bytes(), mutations))
+    (directory / "file").write_text("keep\n")
+    tokens = {"SHARES": paths[0], "STRUCTURE": paths[1], "MISSING": directory / "missing.csv",
+              "OUT": directory / "out", "FILE": directory / "file", "SUMMARY": summary}
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([str(tokens.get(token, token)) for token in argv])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    errors = [line for line in lines if not line.startswith("warning: only ")]
+    assert len(errors) <= 1 and len(lines) - len(errors) <= 1
+    assert (code == 0) == (errors == [])
+    assert not [p for p in directory.rglob("*") if p.name.endswith(".tmp")]
+    assert (directory / "file").read_text() == "keep\n"
 
 
 @pytest.mark.parametrize("argv", [["--trials", "0"], ["--threads", "0"], ["--seed", "-1"],

@@ -127,34 +127,35 @@ def test_missing_state_rejected(dataset, tmp_path, save_dataset):
         load_dataset(shares_path, struct_path)
 
 
-def test_malformed_row_rejected(dataset, tmp_path, save_dataset):
+def _rewrite_cell(dataset, tmp_path, save_dataset, target, column, text):
+    """Save the dataset as a CSV pair, with the first data row's `column` of the
+    `target` file ("shares" or "structure") replaced by `text`."""
     import csv
 
-    shares_path = tmp_path / "shares.csv"
-    struct_path = tmp_path / "structure.csv"
-    save_dataset(dataset, shares_path, struct_path)
-    with open(shares_path, newline="") as f:
+    paths = {"shares": tmp_path / "shares.csv", "structure": tmp_path / "structure.csv"}
+    save_dataset(dataset, paths["shares"], paths["structure"])
+    with open(paths[target], newline="") as f:
         rows = list(csv.reader(f))
-    rows[1][2] = "not-a-number"
-    with open(shares_path, "w", newline="") as f:
+    rows[1][column] = text
+    with open(paths[target], "w", newline="") as f:
         csv.writer(f).writerows(rows)
-    with pytest.raises(ds.MalformedRow):
-        load_dataset(shares_path, struct_path)
+    return paths["shares"], paths["structure"]
 
 
-def test_unknown_state_rejected(dataset, tmp_path, save_dataset):
-    import csv
+# each file's columns after the state: a share, or a turnout and a House count
+@pytest.mark.parametrize("target, column", [("shares", 2), ("structure", 1), ("structure", 2)],
+                         ids=["shares", "structure", "structure-house"])
+def test_malformed_row_rejected(dataset, tmp_path, save_dataset, target, column):
+    paths = _rewrite_cell(dataset, tmp_path, save_dataset, target, column, "not-a-number")
+    with pytest.raises(ds.MalformedRow, match=f"{target}.csv: bad row"):
+        load_dataset(*paths)
 
-    shares_path = tmp_path / "shares.csv"
-    struct_path = tmp_path / "structure.csv"
-    save_dataset(dataset, shares_path, struct_path)
-    with open(shares_path, newline="") as f:
-        rows = list(csv.reader(f))
-    rows[1][0] = "Atlantis"
-    with open(shares_path, "w", newline="") as f:
-        csv.writer(f).writerows(rows)
-    with pytest.raises(ds.MalformedRow):
-        load_dataset(shares_path, struct_path)
+
+@pytest.mark.parametrize("target", ["shares", "structure"])
+def test_unknown_state_rejected(dataset, tmp_path, save_dataset, target):
+    paths = _rewrite_cell(dataset, tmp_path, save_dataset, target, 0, "Atlantis")
+    with pytest.raises(ds.MalformedRow, match=f"{target}.csv: unknown state 'Atlantis'"):
+        load_dataset(*paths)
 
 
 @pytest.mark.parametrize("fault", ["duplicate-share-row", "duplicate-structure-row"])

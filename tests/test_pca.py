@@ -6,10 +6,11 @@ from elections.dataset import STATE_INDEX, STATE_NAMES
 
 
 def test_center_toy():
-    dm = pca.center(np.array([[0.4, 0.6], [0.6, 0.8]]))
-    assert np.allclose(dm.mean, [0.5, 0.7])
-    assert np.allclose(dm.devs, [[-0.1, -0.1], [0.1, 0.1]])
-    assert dm.n == 2
+    toy = np.array([[0.4, 0.6], [0.6, 0.8]])
+    assert np.allclose(pca.center(toy), [[-0.1, -0.1], [0.1, 0.1]])
+    model = pca.fit_pca(toy)
+    assert np.allclose(model.mean, [0.5, 0.7])
+    assert model.n == 2
 
 
 def test_covariance_toy():
@@ -34,8 +35,9 @@ def test_covariance_degenerate():
 
 
 def test_centering_columns_sum_to_zero(dataset):
-    dm = pca.center(dataset)
-    assert np.allclose(dm.devs.sum(axis=0), 0.0, atol=1e-12)
+    devs = pca.center(dataset)
+    assert devs.shape == dataset.shares.shape
+    assert np.allclose(devs.sum(axis=0), 0.0, atol=1e-12)
 
 
 def test_bundled_model_rank_and_order(model):

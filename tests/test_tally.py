@@ -9,24 +9,27 @@ HOUSE = scenarios.TOY_HOUSE
 
 
 def test_state_winners():
-    assert np.array_equal(tally.state_winners([0.53, 0.47, 0.51]),
-                          [True, False, True])
+    t = tally.electoral_totals([0.53, 0.47, 0.51], TURNOUT, HOUSE)
+    assert t.carried == ("D", "R", "D")
+    assert (t.dem_states, t.dem_house) == (2, HOUSE[0] + HOUSE[2])
 
 
 def test_state_winners_tie_raises():
-    with pytest.raises(tally.TiedState):
-        tally.state_winners([0.53, 0.5, 0.47])
+    with pytest.raises(tally.TiedState, match="exact 0.5 share in state index 1"):
+        tally.electoral_totals([0.53, 0.5, 0.47], TURNOUT, HOUSE)
 
 
 def test_state_winners_sweep():
-    assert np.array_equal(tally.state_winners([0.9, 0.9, 0.9]),
-                          [True, True, True])
+    t = tally.electoral_totals([0.9, 0.9, 0.9], TURNOUT, HOUSE)
+    assert t.carried == ("D", "D", "D")
+    assert t.totals(tally.STATES_WON) == (3, 0)
 
 
 def test_popular_totals():
-    dem, rep = tally.popular_totals([0.53, 0.47, 0.47], TURNOUT)
-    assert dem == pytest.approx(253.0)
-    assert rep == pytest.approx(247.0)
+    t = tally.electoral_totals([0.53, 0.47, 0.47], TURNOUT, HOUSE)
+    assert t.dem_pop == pytest.approx(253.0)
+    assert t.rep_pop == pytest.approx(247.0)
+    assert type(t.dem_pop) is type(t.rep_pop) is float
 
 
 def test_scenario_lw():
