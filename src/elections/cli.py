@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import gc
 import io
 import json
 import os
@@ -28,8 +27,8 @@ from .scenarios import format_scenarios, run_all_scenarios
 VALID_START_YEARS = tuple(range(1964, 2008, 4))
 MIN_ELECTIONS = 3
 WARN_ELECTIONS = 8
-# exclusive bounds of simulate's integer flags: a 10**8-trial table is ~3 GB, and
-# below them 2 * (436 + 51 k) and bin_width * (diff // bin_width) fit in int64
+# exclusive bounds of simulate's integer flags: a run just below 10**8 trials peaks
+# near 9 GB, and below them 2 * (436 + 51 k) and bin_width * (diff // bin_width) fit in int64
 TRIALS_LIMIT, K_LIMIT, BINS_LIMIT = 10**8, 10**16, 10**9
 # and --threads, the number of OS threads run_batch may start, is below
 THREADS_LIMIT = 256
@@ -268,22 +267,21 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:   # stdout's: each command catches its own files' errors
         sys.stdout = sys.stdout or open(os.devnull, "w")
-        # what is still buffered goes nowhere at exit
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "wb") as null:   # what is still buffered goes nowhere at exit
+            os.dup2(null.fileno(), sys.stdout.fileno())
         if not isinstance(exc, BrokenPipeError):   # a closed pipe stays silent
             print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
         return 1
 
 
 def run() -> None:
-    """Exit with main's status; gc.freeze() first keeps every collection off the import heap.
+    """Exit with main's status once stdout and stderr are flushed.
 
     When main returns, its files are closed and its threads joined, so once
     stdio is flushed os._exit skips interpreter teardown.  A failed flush is
     status 1, as a closed stdout is in main; a SystemExit or an exception out
     of main takes the normal exit path.
     """
-    gc.freeze()
     status = main()
     for stream in (sys.stdout, sys.stderr):
         try:

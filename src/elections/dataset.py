@@ -143,7 +143,7 @@ def _cells(path, key, parse) -> dict:
     """
     cells = {}
     try:
-        with open(path, newline="", encoding="utf-8") as f:
+        with open(path, newline="", encoding="utf-8-sig") as f:
             reader = csv.DictReader(f)
             if reader.fieldnames is None:
                 raise MalformedRow(f"{path}: empty file")

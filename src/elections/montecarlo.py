@@ -191,6 +191,8 @@ def trial_columns(model: PcaModel, dataset: ElectionDataset,
 
 def histogram(values: np.ndarray, bin_width: int) -> list:
     """[lo, lo + bin_width, count] rows for the occupied bins, in order."""
+    if bin_width < 1:
+        raise ValueError(f"bin_width must be >= 1, got {bin_width}")
     los, counts = np.unique(bin_width * (values // bin_width), return_counts=True)
     return [[lo, lo + bin_width, c] for lo, c in zip(los.tolist(), counts.tolist())]
 
@@ -276,8 +278,6 @@ def run_batch(model: PcaModel, dataset: ElectionDataset, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if bin_width < 1:
-        raise ValueError(f"bin_width must be >= 1, got {bin_width}")
     def work(start):
         return trial_columns(model, dataset, seed, start, min(_CHUNK, trials - start))
 

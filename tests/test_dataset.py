@@ -169,3 +169,38 @@ def test_duplicate_rows_rejected(dataset, tmp_path, save_dataset, fault):
     path.write_text("\n".join(lines + [lines[1]]) + "\n")
     with pytest.raises(ds.MalformedRow, match="duplicate"):
         load_dataset(shares_path, struct_path)
+
+
+BUNDLED = ("elections_1964_2008.csv", "structure_2008.csv")
+
+
+def _bundled_copy(directory, name, line=None):
+    """A copy of a bundled CSV, with a UTF-8 byte order mark put before line `line`."""
+    from pathlib import Path
+
+    import elections
+
+    lines = (Path(elections.__file__).parent / "data" / name).read_bytes().splitlines(True)
+    if line is not None:
+        lines[line] = "\ufeff".encode() + lines[line]
+    path = directory / name
+    path.write_bytes(b"".join(lines))
+    return path
+
+
+def test_byte_order_mark_is_read(dataset, tmp_path):
+    """A byte order mark before the header, as spreadsheet exports write it, is
+    no part of the first column's name."""
+    again = load_dataset(*(_bundled_copy(tmp_path, name, line=0) for name in BUNDLED))
+    assert again.years == dataset.years
+    assert np.array_equal(again.shares, dataset.shares)
+    assert np.array_equal(again.turnout, dataset.turnout)
+    assert np.array_equal(again.house_electors, dataset.house_electors)
+
+
+@pytest.mark.parametrize("target", BUNDLED)
+def test_byte_order_mark_on_a_data_row_rejected(tmp_path, target):
+    paths = [_bundled_copy(tmp_path, name, line=1 if name == target else None)
+             for name in BUNDLED]
+    with pytest.raises(ds.MalformedRow, match=f"{target}: unknown state"):
+        load_dataset(*paths)

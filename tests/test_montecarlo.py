@@ -199,6 +199,15 @@ def test_run_batch_rejects_zero_trials(model, dataset):
         mc.run_batch(model, dataset, trials=10, seed=0, bin_width=0)
 
 
+@pytest.mark.parametrize("bin_width", [0, -5])
+def test_histogram_rejects_bin_width_below_one(summary_20k, bin_width):
+    """The histogram checks the width it divides by, whoever calls it."""
+    with pytest.raises(ValueError, match="bin_width must be >= 1"):
+        mc.histogram(np.array([-45, -3, 0, 17]), bin_width)
+    with pytest.raises(ValueError, match="bin_width must be >= 1"):
+        mc.summarize(summary_20k.table, bin_width)
+
+
 def test_all_degenerate_table_reductions():
     table = make_table(0, trials=3, tied_state=np.array([0, 1]), tied_popular=np.array([2]))
     s = mc.summarize(table)
