@@ -24,7 +24,6 @@ from .csvout import write_csv
 from .generator import SEED_LIMIT
 from .scenarios import format_scenarios, run_all_scenarios
 
-VALID_START_YEARS = tuple(range(1964, 2008, 4))
 MIN_ELECTIONS = 3
 WARN_ELECTIONS = 8
 # exclusive bounds of simulate's integer flags: a run just below 10**8 trials peaks
@@ -35,9 +34,7 @@ THREADS_LIMIT = 256
 
 
 def _load(args, parser) -> ds.ElectionDataset:
-    if args.shares or args.structure:
-        if not (args.shares and args.structure):
-            parser.error("--shares and --structure must be given together")
+    if args.shares or args.structure:   # the flag left out is the bundled file
         data = ds.load_dataset(args.shares, args.structure)
     else:
         data = ds.load_bundled_dataset()
@@ -63,9 +60,8 @@ def _failed(what: str, exc: Exception) -> int:
 def _add_data_args(sub):
     sub.add_argument("--shares", help="share history CSV (default: bundled data)")
     sub.add_argument("--structure", help="turnout/elector CSV (default: bundled data)")
-    sub.add_argument("--start-year", type=int, default=1964,
-                     choices=VALID_START_YEARS, metavar="YEAR",
-                     help="first election year to include (default 1964)")
+    sub.add_argument("--start-year", type=int, default=1964, metavar="YEAR",
+                     help="drop the elections before YEAR (default 1964)")
 
 
 def cmd_pca(args, parser) -> int:
@@ -262,7 +258,7 @@ def main(argv=None) -> int:
         status = args.func(args, parser)
         sys.stdout.flush()
         return status
-    except (ds.DatasetError, pc.PcaError, mc.MonteCarloError) as exc:
+    except (ds.DatasetError, pc.PcaError, mc.MonteCarloError, MemoryError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:   # stdout's: each command catches its own files' errors

@@ -164,13 +164,15 @@ def _cells(path, key, parse) -> dict:
     return cells
 
 
-def load_dataset(shares_path, structure_path) -> ElectionDataset:
+def load_dataset(shares_path=None, structure_path=None) -> ElectionDataset:
     """Load and validate the share history and the 2008 structure table.
 
     The shares file has header ``state,year,dem_share`` or
     ``state,year,dem_votes,rep_votes``; the structure file has header
-    ``state,turnout_two_party_2008,house_electors``.
+    ``state,turnout_two_party_2008,house_electors``.  A path left out is the bundled file.
     """
+    shares_path = shares_path or resources.files("elections") / "data" / "elections_1964_2008.csv"
+    structure_path = structure_path or resources.files("elections") / "data" / "structure_2008.csv"
     cells = _cells(shares_path, lambda row: (int(row["year"]),), lambda row: (
         float(row["dem_share"]) if "dem_share" in row
         else two_party_share(float(row["dem_votes"]), float(row["rep_votes"]))))
@@ -196,5 +198,4 @@ def load_dataset(shares_path, structure_path) -> ElectionDataset:
 
 def load_bundled_dataset() -> ElectionDataset:
     """The 1964-2008 history and 2008 structure shipped inside the package."""
-    root = resources.files("elections") / "data"
-    return load_dataset(root / "elections_1964_2008.csv", root / "structure_2008.csv")
+    return load_dataset()

@@ -83,8 +83,15 @@ def test_invalid_start_year(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("year, same_as", [("1966", ["--start-year", "1968"]), ("1900", [])])
+def test_start_year_is_a_lower_bound(capsys, year, same_as):
+    """Any year drops the elections before it: 1966 fits 1968's model and a year
+    before the bundled history fits the default one, byte for byte."""
+    assert run(["pca", "--start-year", year], capsys) == run(["pca", *same_as], capsys)
+
+
 def test_start_year_too_few_elections(capsys):
-    # 2004 is a legal grid year but leaves only 2 elections
+    # 2004 leaves only 2 elections
     with pytest.raises(SystemExit) as exc:
         main(["pca", "--start-year", "2004"])
     assert exc.value.code == 2
@@ -97,10 +104,28 @@ def test_start_year_warning(capsys):
     assert json.loads(out)["n"] == 6
 
 
-def test_mismatched_data_flags(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["pca", "--shares", "only_one.csv"])
-    assert exc.value.code == 2
+def test_mismatched_data_flags(tmp_path, capsys, save_dataset):
+    """Either data flag may come alone: the other is then the bundled file, so
+    the run equals one given that file by path, and differs from the default."""
+    from pathlib import Path
+
+    import elections
+
+    data = Path(elections.__file__).parent / "data"
+    bundled = {"--shares": data / "elections_1964_2008.csv",
+               "--structure": data / "structure_2008.csv"}
+    default = elections.load_bundled_dataset()
+    shares, structure = _saved_pair(save_dataset, tmp_path, shares=default.shares[::-1],
+                                    turnout=default.turnout // 7)
+    argv = ["simulate", "--trials", "500", "--emit-trials", "--out"]
+    assert run([*argv, str(tmp_path / "default")], capsys)[0] == 0
+    for flag, other, path in (("--shares", "--structure", shares),
+                              ("--structure", "--shares", structure)):
+        alone, paired = tmp_path / f"{flag}-alone", tmp_path / f"{flag}-paired"
+        assert run([*argv, str(alone), flag, str(path)], capsys)[0] == 0
+        assert run([*argv, str(paired), flag, str(path), other, str(bundled[other])],
+                   capsys)[0] == 0
+        assert _files(alone) == _files(paired) != _files(tmp_path / "default")
 
 
 def test_simulate_outputs_and_determinism(tmp_path, capsys):
@@ -600,6 +625,26 @@ def test_failed_simulate_leaves_previous_outputs(tmp_path, capsys):
     assert _files(out) == before
 
 
+@pytest.mark.parametrize("target", ["elections.montecarlo.run_batch", "elections.cli.write_csv"],
+                         ids=["run_batch", "write_csv"])
+def test_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch, target):
+    """A simulate that runs out of memory, in the kernel or in the CSV writer,
+    exits 1 with one stderr line and leaves the previous outputs as they were."""
+    out = tmp_path / "o"
+    argv = ["simulate", "--trials", "2000", "--emit-trials", "--out", str(out)]
+    assert run([*argv, "--seed", "5"], capsys)[0] == 0
+    before = _files(out)
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 91.6 MiB")
+
+    monkeypatch.setattr(target, exhausted)
+    assert run([*argv, "--seed", "6"], capsys) == (
+        1, "", "MemoryError: Unable to allocate 91.6 MiB\n")
+    assert _files(out) == before
+    assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
 def _cli(argv):
     """`python -m elections.cli argv` in a child process, through cli.run."""
     import subprocess
@@ -848,10 +893,13 @@ def test_start_year_leaving_under_two_elections(tmp_path, capsys, save_dataset,
 
 
 @pytest.mark.parametrize("argv, n", [([], 10), (["--start-year", "1964"], 10),
-                                     (["--start-year", "1968"], 9)])
+                                     (["--start-year", "1968"], 9),
+                                     (["--start-year", "1960"], 11),
+                                     (["--start-year", "1966"], 9)])
 def test_start_year_is_a_value_not_a_flag(tmp_path, capsys, save_dataset, argv, n):
     # on the bundled history shifted back 8 years (1956-2000), the default
-    # start year and an explicit 1964 both drop 1956 and 1960
+    # start year and an explicit 1964 both drop 1956 and 1960; 1960 keeps 1960,
+    # and 1966, which is no election year, drops up to 1964
     shares, structure = _saved_pair(save_dataset, tmp_path, years=tuple(range(1956, 2004, 4)))
     code, out, _ = run(["pca", "--shares", str(shares), "--structure", str(structure), *argv],
                        capsys)
