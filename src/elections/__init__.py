@@ -4,7 +4,7 @@ from a principal-components model of correlated state voting."""
 import os
 
 # One BLAS thread unless the user sets another count: the matrices are small,
-# and BLAS threads would compete with run_batch's thread pool for the CPUs.
+# and BLAS threads would compete with run_batch's own threads for the CPUs.
 # This runs before the package first imports numpy.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")

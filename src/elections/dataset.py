@@ -8,7 +8,6 @@ are Democratic fractions of the two-party vote; third parties are excluded.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -75,7 +74,6 @@ def two_party_share(dem_votes: float, rep_votes: float) -> float:
     return dem_votes / (dem_votes + rep_votes)
 
 
-@dataclass(frozen=True)
 class ElectionDataset:
     """Immutable, validated election history plus 2008 structural constants.
 
@@ -83,30 +81,26 @@ class ElectionDataset:
     turnout[s] is the two-party vote count in state s in 2008.
     """
 
-    years: tuple[int, ...]
-    shares: np.ndarray          # (n_years, 51), float64
-    turnout: np.ndarray         # (51,), int64
-    house_electors: np.ndarray  # (51,), int64
+    __slots__ = ("years", "shares", "turnout", "house_electors")
     senate_electors_base = SENATE_PER_STATE   # a class constant that perfbench reads
 
-    def __post_init__(self):
-        shares = np.asarray(self.shares, dtype=float)
-        turnout = np.asarray(self.turnout, dtype=np.int64)
-        house = np.asarray(self.house_electors, dtype=np.int64)
-        if shares.shape != (len(self.years), N_STATES):
-            raise MissingState(
-                f"shares matrix is {shares.shape}, expected ({len(self.years)}, {N_STATES})"
-            )
-        if len(self.years) < 2:
-            raise MissingState(f"need at least 2 election years, got {len(self.years)}")
-        diffs = np.diff(self.years)
-        if not np.all(diffs == 4):
-            raise DatasetError(f"years must increase in steps of 4: {self.years}")
+    def __init__(self, years: tuple[int, ...], shares: np.ndarray,
+                 turnout: np.ndarray, house_electors: np.ndarray):
+        shares = np.asarray(shares, dtype=float)          # (n_years, 51)
+        turnout = np.asarray(turnout, dtype=np.int64)     # (51,)
+        house = np.asarray(house_electors, dtype=np.int64)  # (51,)
+        if shares.shape != (len(years), N_STATES):
+            raise MissingState(f"shares matrix is {shares.shape}, "
+                               f"expected ({len(years)}, {N_STATES})")
+        if len(years) < 2:
+            raise MissingState(f"need at least 2 election years, got {len(years)}")
+        if not np.all(np.diff(years) == 4):
+            raise DatasetError(f"years must increase in steps of 4: {years}")
         if not (np.all(shares > 0.0) and np.all(shares < 1.0)):
             bad = np.argwhere(~((shares > 0.0) & (shares < 1.0)))[0]
             raise ShareOutOfRange(
                 f"share {shares[tuple(bad)]!r} for {STATE_NAMES[bad[1]]} "
-                f"in {self.years[bad[0]]} is outside (0, 1)"
+                f"in {years[bad[0]]} is outside (0, 1)"
             )
         if turnout.shape != (N_STATES,) or np.any(turnout <= 0):
             raise DatasetError("turnout must be 51 positive counts")
@@ -116,23 +110,22 @@ class ElectionDataset:
             raise ElectorSumMismatch(
                 f"house electors sum to {int(house.sum())}, expected {HOUSE_TOTAL}"
             )
-        shares.flags.writeable = False
-        turnout.flags.writeable = False
-        house.flags.writeable = False
-        object.__setattr__(self, "years", tuple(int(y) for y in self.years))
-        object.__setattr__(self, "shares", shares)
-        object.__setattr__(self, "turnout", turnout)
-        object.__setattr__(self, "house_electors", house)
+        for array in (shares, turnout, house):
+            array.flags.writeable = False
+        for name, value in zip(self.__slots__, (tuple(map(int, years)), shares, turnout, house)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):   # and, as __delattr__, without a value
+        raise AttributeError(f"ElectionDataset is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
     def restrict_years(self, start_year: int) -> "ElectionDataset":
         """Drop elections before start_year, keeping structure unchanged."""
         keep = [t for t, y in enumerate(self.years) if y >= start_year]
-        return ElectionDataset(
-            years=tuple(self.years[t] for t in keep),
-            shares=self.shares[keep].copy(),
-            turnout=self.turnout.copy(),
-            house_electors=self.house_electors.copy(),
-        )
+        # the read-only structure arrays are shared; shares[keep] is a copy
+        return ElectionDataset(years=tuple(self.years[t] for t in keep), shares=self.shares[keep],
+                               turnout=self.turnout, house_electors=self.house_electors)
 
 
 def _cells(path, key, parse) -> dict:

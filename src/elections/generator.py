@@ -13,7 +13,7 @@ order or in parallel.  Bit-equality is promised within one numpy build.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ class DimensionMismatch(GeneratorError):
     """Noise length does not match the model's eigenpair count."""
 
 
-@dataclass(frozen=True)
-class SimulatedShares:
+class SimulatedShares(NamedTuple):
     """One simulated 51-state share vector, raw and clamped to [0, 1]."""
 
     raw: np.ndarray

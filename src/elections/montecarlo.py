@@ -25,9 +25,9 @@ resampling would bias frequencies.
 from __future__ import annotations
 
 import json
+import operator
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +58,7 @@ class ExactPopularTie(MonteCarloError):
     """Popular vote split exactly in half; no popular winner exists."""
 
 
-@dataclass(frozen=True)
-class OutcomeRecord:
+class OutcomeRecord(NamedTuple):
     """Classification of a single simulated election."""
 
     trial: int
@@ -99,8 +98,7 @@ def classify(tally: TallyResult, trial: int = 0) -> OutcomeRecord:
     )
 
 
-@dataclass(frozen=True)
-class TrialTable:
+class TrialTable(NamedTuple):
     """One row per classified trial among trials 0..trials-1 of one seed, in order.
 
     pw_* columns belong to the popular winner, out of HOUSE_TOTAL House
@@ -201,8 +199,7 @@ def _rate(count: int, n: int) -> float:
     return count / n if n else 0.0
 
 
-@dataclass(frozen=True)
-class RunSummary:
+class RunSummary(NamedTuple):
     """Aggregate results of one batch, a pure function of (dataset, seed, trials)."""
 
     trials: int
@@ -220,14 +217,13 @@ class RunSummary:
     degenerate: dict
     exact_full_splits: int = 0
     exact_house_splits: int = 0
-    records: tuple | None = field(default=None, repr=False, compare=False)
-    table: TrialTable | None = field(default=None, repr=False, compare=False)
+    records: tuple | None = None
+    table: TrialTable | None = None
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name not in ("records", "table")}
-        out["diff_histogram"] = {"bin_width": out.pop("bin_width"),
-                                 "bins": self.diff_histogram}
+        out = self._asdict()
+        del out["records"], out["table"]
+        out["diff_histogram"] = {"bin_width": out.pop("bin_width"), "bins": self.diff_histogram}
         return out
 
     def to_json(self) -> str:
@@ -278,21 +274,40 @@ def run_batch(model: PcaModel, dataset: ElectionDataset, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    def work(start):
-        return trial_columns(model, dataset, seed, start, min(_CHUNK, trials - start))
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    chunks = range(0, trials, _CHUNK)
+    starts, parts, errors = iter(chunks), {}, {}
 
-    with ThreadPoolExecutor(threads) as executor:
-        parts = list(executor.map(work, range(0, trials, _CHUNK)))
+    def work():
+        # next() on a range iterator is atomic under the GIL, so no chunk is drawn twice
+        for start in starts:
+            try:
+                parts[start] = trial_columns(model, dataset, seed, start,
+                                             min(_CHUNK, trials - start))
+            except BaseException as exc:   # raised below, once every thread is joined
+                errors[start] = exc
+                return
+
+    helpers = [threading.Thread(target=work) for _ in range(min(threads, len(chunks)) - 1)]
+    try:
+        for thread in helpers:
+            thread.start()
+        work()   # the calling thread works too
+    finally:   # a thread whose start failed cannot be joined
+        for thread in filter(threading.Thread.is_alive, helpers):
+            thread.join()
+    if errors:   # the first failed chunk's, as when the chunks ran in order
+        raise errors[min(errors)]
     table = TrialTable(
         seed=seed,
         trials=trials,
         total_pop=float(dataset.turnout.astype(float).sum()),
-        **{name: np.concatenate([p[name] for p in parts]) for name in parts[0]})
+        **{name: np.concatenate([parts[start][name] for start in chunks]) for name in parts[0]})
     return summarize(table, bin_width, keep_records)
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Unpopular-election frequency as the per-state Senate elector count grows."""
 
     trials: int
@@ -301,9 +316,7 @@ class SweepResult:
     states_won_limit: float    # limiting rule: most states carried wins
 
     def to_dict(self) -> dict:
-        return {"trials": self.trials, "seed": self.seed,
-                "by_k": {str(k): v for k, v in self.by_k.items()},
-                "states_won_limit": self.states_won_limit}
+        return {**self._asdict(), "by_k": {str(k): v for k, v in self.by_k.items()}}
 
 
 def senate_sweep(table: TrialTable, k_values=(0, 2, 10, 100)) -> SweepResult:
@@ -312,10 +325,11 @@ def senate_sweep(table: TrialTable, k_values=(0, 2, 10, 100)) -> SweepResult:
     A trial is unpopular when the popular winner fails to win a strict
     majority of the pool, so an exact split counts.  Hence by_k[0] equals
     unpopular_house and by_k[2] equals unpopular_full of the same table.
-    A k < 0 raises ValueError (see tally.pool).
+    A k < 0 raises ValueError (see tally.pool), and a k that is not an
+    integer TypeError.
     """
     return SweepResult(trials=table.trials, seed=table.seed,
-                       by_k={int(k): table.unpopular(k) for k in k_values},
+                       by_k={k: table.unpopular(k) for k in map(operator.index, k_values)},
                        states_won_limit=table.unpopular(STATES_WON))
 
 

@@ -7,7 +7,7 @@ the centered columns sum to zero).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ class IndexOutOfRange(PcaError, IndexError):
     """Component index outside 1..n_components."""
 
 
-@dataclass(frozen=True)
-class PcaModel:
+class PcaModel(NamedTuple):
     """Mean vector and descending nonzero eigenpairs of the sample covariance.
 
     eigenvectors[j] is the unit-norm direction for eigenvalues[j]; rows are

@@ -8,7 +8,7 @@ result with House+Senate electors, then with House electors alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ SCENARIO_TITLES = {
 }
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     code: str
     shares: tuple[float, ...]
     tally: TallyResult
@@ -44,11 +43,8 @@ class ScenarioResult:
 def run_scenario(code: str) -> ScenarioResult:
     shares = np.array(SCENARIO_SHARES[code])
     tally = electoral_totals(shares, TOY_TURNOUT, TOY_HOUSE)
-    full_a, full_b = tally.totals(FULL)
-    house_a, house_b = tally.totals(HOUSE_ONLY)
-    return ScenarioResult(code=code, shares=tuple(shares), tally=tally,
-                          full_a=full_a, full_b=full_b,
-                          house_a=house_a, house_b=house_b)
+    return ScenarioResult(code, tuple(shares), tally,
+                          *tally.totals(FULL), *tally.totals(HOUSE_ONLY))
 
 
 def run_all_scenarios() -> dict[str, ScenarioResult]:

@@ -9,7 +9,7 @@ depend on the seed in an undocumented way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ def pool(house, states, k):
     return house + k * states
 
 
-@dataclass(frozen=True)
-class TallyResult:
+class TallyResult(NamedTuple):
     """One election's Democratic tallies and the sizes of the whole pools."""
 
     dem_pop: float

@@ -625,13 +625,17 @@ def test_failed_simulate_leaves_previous_outputs(tmp_path, capsys):
     assert _files(out) == before
 
 
-@pytest.mark.parametrize("target", ["elections.montecarlo.run_batch", "elections.cli.write_csv"],
-                         ids=["run_batch", "write_csv"])
-def test_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch, target):
-    """A simulate that runs out of memory, in the kernel or in the CSV writer,
-    exits 1 with one stderr line and leaves the previous outputs as they were."""
+@pytest.mark.parametrize("target, threads", [
+    ("elections.montecarlo.run_batch", "1"), ("elections.cli.write_csv", "1"),
+    ("elections.montecarlo.trial_columns", "2"),
+], ids=["run_batch", "write_csv", "trial_columns"])
+def test_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch, target, threads):
+    """A simulate that runs out of memory, in the kernel, in one of its threads
+    or in the CSV writer, exits 1 with one stderr line and leaves the previous
+    outputs as they were."""
     out = tmp_path / "o"
-    argv = ["simulate", "--trials", "2000", "--emit-trials", "--out", str(out)]
+    argv = ["simulate", "--trials", "5000", "--threads", threads, "--emit-trials",
+            "--out", str(out)]
     assert run([*argv, "--seed", "5"], capsys)[0] == 0
     before = _files(out)
 
@@ -847,11 +851,11 @@ def test_bad_structure_file(tmp_path, capsys, save_dataset):
 
 def _saved_pair(save_dataset, directory, **changes):
     """Write the bundled data, with `changes` to its fields, as a CSV pair."""
-    import dataclasses
+    from elections import ElectionDataset, load_bundled_dataset
 
-    from elections import load_bundled_dataset
-
-    data = dataclasses.replace(load_bundled_dataset(), **changes)
+    bundled = load_bundled_dataset()
+    data = ElectionDataset(**{name: changes.get(name, getattr(bundled, name))
+                              for name in ElectionDataset.__slots__})
     paths = directory / "shares.csv", directory / "structure.csv"
     save_dataset(data, *paths)
     return paths
@@ -982,7 +986,7 @@ def _flag(name, values):
 
 # every command's flags, each with valid, boundary and invalid values; the upper
 # case tokens stand for paths made per example.  A valid --trials stays small, so
-# a valid --threads, even THREADS_LIMIT - 1, starts at most two pool threads
+# a valid --threads, even THREADS_LIMIT - 1, starts at most one thread beside the caller
 DATA_FLAGS = [
     st.just(["--shares", "SHARES", "--structure", "STRUCTURE"]),
     _flag("--shares", st.sampled_from(["SHARES", "MISSING"])),

@@ -95,6 +95,15 @@ def test_restrict_years(dataset):
     assert np.array_equal(sub.turnout, dataset.turnout)
 
 
+def test_dataset_is_immutable(dataset):
+    for name in ("years", "shares", "senate_electors_base", "other"):
+        with pytest.raises(AttributeError):
+            setattr(dataset, name, None)
+        with pytest.raises(AttributeError):
+            delattr(dataset, name)
+    assert dataset.years == tuple(range(1964, 2012, 4))
+
+
 def test_share_out_of_range(dataset):
     shares = dataset.shares.copy()
     shares[0, 0] = 1.0

@@ -134,9 +134,11 @@ def test_draw_follows_the_word_contract():
 
 
 def test_import_does_not_load_scipy():
+    """Nor the stdlib modules of a thread pool or of dataclasses, which cost
+    a few milliseconds of every run's start-up."""
     src = Path(gen.__file__).resolve().parents[1]
-    code = ("import sys, elections; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys, elections.cli; print(sorted(m for m in sys.modules if m in "
+            "('concurrent.futures', 'logging', 'dataclasses') or m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code],
                          env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True).stdout

@@ -1,5 +1,6 @@
-import dataclasses
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -114,8 +115,8 @@ def test_table_chunk_invariance(model, dataset, monkeypatch):
     a = _with_chunk(monkeypatch, 4096, model, dataset, trials=5000, seed=3).table
     for chunk in (777, 1):
         b = _with_chunk(monkeypatch, chunk, model, dataset, trials=5000, seed=3).table
-        for f in dataclasses.fields(mc.TrialTable):
-            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), (chunk, f.name)
+        for name in mc.TrialTable._fields:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), (chunk, name)
 
 
 def test_one_row_last_chunk_matches_longer_run(model, dataset, monkeypatch):
@@ -158,6 +159,63 @@ def test_serial_parallel_bit_identical(model, dataset, monkeypatch, threads):
     assert serial.to_json() == parallel.to_json()
 
 
+def test_failed_chunk_raises_once_every_thread_is_joined(model, dataset, monkeypatch):
+    kernel, threads = mc.trial_columns, threading.enumerate()
+
+    def columns(model, dataset, seed, start, count):
+        if start == 2 * mc._CHUNK:
+            raise MemoryError("Unable to allocate chunk 2")
+        return kernel(model, dataset, seed, start, count)
+
+    monkeypatch.setattr(mc, "trial_columns", columns)
+    with pytest.raises(MemoryError, match="chunk 2"):
+        mc.run_batch(model, dataset, trials=6 * mc._CHUNK, seed=1, threads=3)
+    assert threading.enumerate() == threads
+
+
+def test_every_chunk_is_drawn_once_under_fast_switching(model, dataset, monkeypatch):
+    kernel, starts = mc.trial_columns, []
+
+    def columns(model, dataset, seed, start, count):
+        starts.append(start)
+        return kernel(model, dataset, seed, start, count)
+
+    serial = mc.run_batch(model, dataset, trials=1500, seed=5, threads=1)
+    monkeypatch.setattr(mc, "_CHUNK", 1)
+    monkeypatch.setattr(mc, "trial_columns", columns)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = mc.run_batch(model, dataset, trials=1500, seed=5, threads=16)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(starts) == list(range(1500))
+    assert parallel.to_json() == serial.to_json()
+
+
+def test_run_batch_rejects_zero_threads(model, dataset):
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        mc.run_batch(model, dataset, trials=100, seed=0, threads=0)
+
+
+def test_threads_beyond_the_chunks_are_not_started(model, dataset, monkeypatch):
+    kernel, start, counts, started = mc.trial_columns, threading.Thread.start, [], []
+
+    def columns(*args):
+        counts.append(threading.active_count())
+        return kernel(*args)
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(mc, "trial_columns", columns)
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    caller = threading.active_count()
+    mc.run_batch(model, dataset, trials=100, seed=0, threads=200)
+    assert counts and max(counts) <= caller + 1 and len(started) <= 1
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity API")
 def test_calling_thread_keeps_its_mask(model, dataset):
     before = os.sched_getaffinity(0)
@@ -190,6 +248,14 @@ def test_sweep_rejects_negative_k(summary_20k):
         mc.senate_sweep(summary_20k.table, k_values=(-1,))
     with pytest.raises(ValueError):
         summary_20k.table.margin(-1)
+
+
+def test_sweep_rejects_non_integer_k(summary_20k, sweep_20k):
+    # a k of 2.9 once took the key 2 with its own rate, hiding k = 2's
+    with pytest.raises(TypeError):
+        mc.senate_sweep(summary_20k.table, k_values=(2, 2.5, 2.9))
+    sweep = mc.senate_sweep(summary_20k.table, k_values=np.array([0, 2, 10, 100]))
+    assert sweep == sweep_20k and [type(k) for k in sweep.by_k] == [int] * 4
 
 
 def test_run_batch_rejects_zero_trials(model, dataset):
