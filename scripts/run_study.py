@@ -9,13 +9,15 @@ narrative summary instead of writing files.  Usage:
 
 import argparse
 
-import numpy as np
-
 from elections import fit_pca, load_bundled_dataset, run_batch, senate_sweep
 from elections.cli import THREADS_LIMIT, TRIALS_LIMIT, _at_least
 from elections.dataset import STATE_NAMES
 from elections.generator import SEED_LIMIT
 from elections.pca import variance_explained
+
+# after elections, which sets one BLAS thread unless the user chose a count:
+# numpy imported first would start BLAS on every CPU
+import numpy as np
 
 
 def main() -> int:
@@ -48,7 +50,7 @@ def main() -> int:
 
     summary = run_batch(model, data, trials=args.trials, seed=args.seed,
                         threads=args.threads)
-    sweep = senate_sweep(summary.table)
+    sweep = senate_sweep(summary)
     print()
     print(f"Simulated {summary.trials} elections (seed {args.seed}, "
           f"{summary.n_classified} classified)")

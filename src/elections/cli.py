@@ -8,6 +8,7 @@ are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import io
 import json
@@ -26,9 +27,9 @@ from .scenarios import format_scenarios, run_all_scenarios
 
 MIN_ELECTIONS = 3
 WARN_ELECTIONS = 8
-# exclusive bounds of simulate's integer flags: a run just below 10**8 trials peaks
-# near 9 GB, and below them 2 * (436 + 51 k) and bin_width * (diff // bin_width) fit in int64
-TRIALS_LIMIT, K_LIMIT, BINS_LIMIT = 10**8, 10**16, 10**9
+# exclusive bounds of simulate's integer flags: below them every count is exact in
+# a double, as JSON readers parse it, and 2 * (436 + 51 k) and bin_width * diff fit in int64
+TRIALS_LIMIT, K_LIMIT, BINS_LIMIT = 2**53, 10**16, 10**9
 # and --threads, the number of OS threads run_batch may start, is below
 THREADS_LIMIT = 256
 
@@ -99,29 +100,34 @@ def cmd_simulate(args, parser) -> int:
     except OSError as exc:
         return _failed(f"cannot create {out_dir}", exc)
     # a target that is there but is no file fails before anything is written
-    names = ["run_summary.json", "senate_sweep.json", *mc.FIGURES[:2 + args.emit_trials],
-             "diff_histogram.csv"]
+    figures = list(mc.FIGURES)[:2 + args.emit_trials]
+    names = ["run_summary.json", "senate_sweep.json", *figures, "diff_histogram.csv"]
     if taken := [p for p in (out_dir / n for n in names) if p.exists() and not p.is_file()]:
         print(f"error: cannot write {taken[0]}: not a regular file", file=sys.stderr)
         return 1
-    summary = mc.run_batch(model, data, trials=args.trials, seed=args.seed,
-                           threads=args.threads, bin_width=args.bins)
-    sweep = mc.senate_sweep(summary.table, k_values=args.k_values)
-    files = {"run_summary.json": summary.to_json() + "\n",
-             "senate_sweep.json": json.dumps(sweep.to_dict(), sort_keys=True, indent=2) + "\n",
-             **mc.emit_figure_data(summary.table, args.emit_trials),
-             "diff_histogram.csv": (["bin_lo", "bin_hi", "count"], np.array(
-                 summary.diff_histogram, dtype=np.int64).reshape(-1, 3).T)}
     # staged files replace the outputs only once all are written: a failed run changes nothing
-    staged = {name: out_dir / f".{name}.{os.getpid()}.tmp" for name in files}
+    staged = {name: out_dir / f".{name}.{os.getpid()}.tmp" for name in names}
     try:
         try:
-            for name, content in files.items():
-                with open(staged[name], "wb") as f:
-                    if isinstance(content, str):
-                        f.write(content.encode())
-                    else:
-                        write_csv(f, *content)
+            with contextlib.ExitStack() as stack:
+                files = {name: stack.enter_context(open(path, "wb"))
+                         for name, path in staged.items()}
+                for name in figures:
+                    write_csv(files[name], mc.FIGURES[name], [])
+
+                def append(block):   # each block's figure rows, after the last block's
+                    for name, columns in mc.emit_figure_data(block, args.emit_trials).items():
+                        write_csv(files[name], None, columns)
+
+                summary = mc.run_batch(model, data, trials=args.trials, seed=args.seed,
+                                       threads=args.threads, bin_width=args.bins,
+                                       on_block=append)
+                sweep = mc.senate_sweep(summary, k_values=args.k_values)
+                files["run_summary.json"].write((summary.to_json() + "\n").encode())
+                files["senate_sweep.json"].write(
+                    (json.dumps(sweep.to_dict(), sort_keys=True, indent=2) + "\n").encode())
+                write_csv(files["diff_histogram.csv"], ["bin_lo", "bin_hi", "count"], np.array(
+                    summary.diff_histogram, dtype=np.int64).reshape(-1, 3).T)
         except OSError as exc:
             return _failed(f"cannot write to {out_dir}", exc)
         print(f"trials={summary.trials} seed={summary.seed}")

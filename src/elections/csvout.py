@@ -119,9 +119,10 @@ def _render(columns, rows) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def write_csv(f, header: list, columns) -> None:
-    """Write `header` and one CSV line per row of the equal-length `columns`
-    to the open binary stream f, after whatever it already holds.
+def write_csv(f, header: list | None, columns) -> None:
+    """Write `header`, unless it is None, and one CSV line per row of the
+    equal-length `columns` to the open binary stream f, after whatever it
+    already holds: with no header, the rows append to the lines before.
 
     A column is an int64 or float64 numpy array, or an (index, fields) pair
     standing for fields[index], where fields covers the column's whole range
@@ -131,9 +132,10 @@ def write_csv(f, header: list, columns) -> None:
     into row order and written without its PAD bytes in one call; the text
     of a file is never held whole.
     """
-    n = len(columns[0][0] if isinstance(columns[0], tuple) else columns[0])
+    n = len(columns[0][0] if isinstance(columns[0], tuple) else columns[0]) if len(columns) else 0
     columns = [(_fields(c[1]), c[0]) if isinstance(c, tuple) else c for c in columns]
-    f.write((",".join(header) + "\n").encode())
+    if header is not None:
+        f.write((",".join(header) + "\n").encode())
     for start in range(0, n, SLICE_ROWS):
         text = _render(columns, slice(start, start + SLICE_ROWS)).T.copy()
         f.write(text[text != PAD])

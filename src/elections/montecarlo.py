@@ -1,25 +1,22 @@
-"""Batches of simulated elections: one trial table and its reductions.
+"""Batches of simulated elections, counted by the four values every output reads.
 
-Each trial is a pure function of (seed, trial_index).  One kernel draws a
-contiguous chunk of trials once and returns the columns of its classified
-trials; the chunks are concatenated in trial order into a TrialTable, so
-serial, threaded and any-chunk-size runs give the same table.  Every output
-(the summary counters, the Senate sweep, the figure data and the per-trial
-records) is a reduction over that one table, so every elector rule sees the
-same noise per trial (paired comparison) and rule-to-rule differences are
-not inflated by sampling noise.
+Each trial is a pure function of (seed, trial_index), drawn once by a
+kernel that returns the columns of a chunk's classified trials.  run_batch
+counts each block of chunks into one array (see CELLS) and passes its rows
+on for the figure files, so memory does not grow with the trials.  Every
+summary counter and Senate-sweep rate is a sum over those cells: every
+elector rule sees the same noise per trial (paired comparison), and serial,
+threaded and any-chunk- or block-size runs give the same counts and rows.
 
 Outcome codes: first letter is the popular winner's result with House and
 Senate electors (W above 269 of 538), second letter with House electors
 alone (W above 218 of 436).  An election is unpopular when the popular
-winner fails to WIN, so an exact elector split counts as L for that
-letter; exact splits are additionally reported in separate counters
-(exact_full_splits / exact_house_splits), never silently dropped.  This
-keeps the Senate-sweep identities (k=0 is unpopular_house, k=2 is
-unpopular_full) exact: both sides are TrialTable.unpopular(k).  Per-state or exact popular-vote ties have
-probability zero under the continuous model.  Such degenerate trials get no
-row; they are counted and listed by number, not resampled, since
-resampling would bias frequencies.
+winner fails to WIN, so an exact elector split counts as L, and is also
+counted in exact_full_splits / exact_house_splits; so the Senate sweep's
+k=0 and k=2 equal unpopular_house and unpopular_full exactly.  A state or
+popular tie (probability zero under the continuous model) makes a trial
+degenerate: it gets no row and no cell, and is counted, not resampled,
+since resampling would bias frequencies.
 """
 
 from __future__ import annotations
@@ -37,16 +34,25 @@ from .pca import PcaModel
 from .tally import DEM, FULL, HOUSE_ONLY, REP, STATES_WON, TallyResult, pool
 
 CODES = ("WW", "WL", "LW", "LL")
-# the figure files of a run; trials.csv only with --emit-trials
-FIGURES = ("scatter_hs.csv", "california_scatter.csv", "trials.csv")
+# the figure files of a run and their headers; trials.csv only with --emit-trials
+FIGURES = {
+    "scatter_hs.csv": ["H", "S", "code"],
+    "california_scatter.csv": ["H", "S", "popular_winner", "carried_california"],
+    "trials.csv": ["trial", "code", "dem_pop", "rep_pop", "H", "S", "diff", "california"],
+}
 # every H, S and diff field: the ranges are fixed by the 436 House electors
 # and 51 states that ElectionDataset enforces
 H_FIELDS = tuple(map(str, range(HOUSE_TOTAL + 1)))
 S_FIELDS = tuple(str(FULL * s) for s in range(N_STATES + 1))
 DIFF_FIELDS = tuple(map(str, range(-ELECTORS_TOTAL, ELECTORS_TOTAL + 1)))
+# the axes of RunSummary.cells: the popular winner's party (0 REP, 1 DEM),
+# whether the winner carried California, House electors H and states carried S
+CELLS = (2, 2, HOUSE_TOTAL + 1, N_STATES + 1)
+_H, _S = np.ogrid[:HOUSE_TOTAL + 1, :N_STATES + 1]   # the (H, S) grid of the last two
 
 DEFAULT_BIN_WIDTH = 20
 _CHUNK = 2048   # a (chunk, 51) float64 array fits in a 2 MB L2 cache
+_BLOCK = 32 * _CHUNK   # trials per block: per-block work is rare, a block's rows a few MB
 _local = threading.local()   # each thread's _scratch buffers
 
 
@@ -74,7 +80,7 @@ class OutcomeRecord(NamedTuple):
 def classify(tally: TallyResult, trial: int = 0) -> OutcomeRecord:
     """Assign the two-letter outcome code to one tallied election.
 
-    The scalar reference that the trial table's records are tested against.
+    The scalar reference that run_batch's records are tested against.
     """
     if tally.dem_pop == tally.rep_pop:
         raise ExactPopularTie(f"popular vote tied at {tally.dem_pop}")
@@ -98,48 +104,28 @@ def classify(tally: TallyResult, trial: int = 0) -> OutcomeRecord:
     )
 
 
-class TrialTable(NamedTuple):
-    """One row per classified trial among trials 0..trials-1 of one seed, in order.
+def _margin(k: int | None, house=_H, states=_S) -> np.ndarray:
+    """Popular winner's electors minus the rest in the pool of rule k (see
+    tally.pool), over the (H, S) grid or per row of house and states.  The
+    popular winner wins the pool iff margin > 0."""
+    return 2 * pool(house, states, k) - pool(HOUSE_TOTAL, N_STATES, k)
 
-    pw_* columns belong to the popular winner, out of HOUSE_TOTAL House
-    electors and N_STATES states.  A degenerate trial has no row;
-    tied_state and tied_popular list their trial numbers.
-    """
 
-    seed: int
-    trials: int
-    total_pop: float
-    tied_state: np.ndarray       # trials with some state's share exactly 0.5
-    tied_popular: np.ndarray     # trials with the popular vote split exactly, no state tie
-    pw_dem: np.ndarray           # bool: the Democrat won the popular vote
-    pw_house: np.ndarray
-    pw_states: np.ndarray
-    carried_ca: np.ndarray       # bool
-    dem_pop: np.ndarray          # float
+def _code(house=_H, states=_S) -> np.ndarray:
+    """Index into CODES, over the (H, S) grid or per row: 0=WW 1=WL 2=LW 3=LL."""
+    return 2 * (_margin(FULL, house, states) <= 0) + (_margin(HOUSE_ONLY, house, states) <= 0)
 
-    def numbers(self) -> np.ndarray:
-        """Trial number of each row."""
-        return np.delete(np.arange(self.trials),
-                         np.concatenate([self.tied_state, self.tied_popular]))
 
-    def margin(self, k: int | None) -> np.ndarray:
-        """Popular winner's electors minus the rest in the pool of rule k
-        (see tally.pool).  The popular winner wins the pool iff margin > 0."""
-        return (2 * pool(self.pw_house, self.pw_states, k)
-                - pool(HOUSE_TOTAL, N_STATES, k))
+def _diff(block: dict) -> np.ndarray:
+    """Democratic full electors minus Republican, per row of a block."""
+    full = _margin(FULL, block["pw_house"], block["pw_states"])
+    return np.where(block["pw_dem"], full, -full)
 
-    def codes(self) -> np.ndarray:
-        """Index into CODES per trial: 0=WW 1=WL 2=LW 3=LL."""
-        return 2 * (self.margin(FULL) <= 0) + (self.margin(HOUSE_ONLY) <= 0)
 
-    def diffs(self) -> np.ndarray:
-        """Democratic full electors minus Republican, per trial."""
-        full = self.margin(FULL)
-        return np.where(self.pw_dem, full, -full)
-
-    def unpopular(self, k: int | None) -> float:
-        """Share of rows whose popular winner fails to win the pool of rule k."""
-        return _rate(int((self.margin(k) <= 0).sum()), len(self.dem_pop))
+def _unpopular(hs: np.ndarray, k: int | None) -> float:
+    """Share of the trials counted on the (H, S) grid whose popular winner
+    fails to win the pool of rule k."""
+    return _rate(int((hs * (_margin(k) <= 0)).sum()), int(hs.sum()))
 
 
 def _scratch(name: str, rows: int, cols: int, dtype=float) -> np.ndarray:
@@ -159,7 +145,11 @@ def _electors_won(win: np.ndarray, house: np.ndarray) -> np.ndarray:
 
 def trial_columns(model: PcaModel, dataset: ElectionDataset,
                   seed: int, start: int, count: int) -> dict:
-    """TrialTable columns for trials start..start+count-1, each drawn once."""
+    """The columns of the classified trials among start..start+count-1, each
+    drawn once: trial, the popular winner's pw_dem (the Democrat won),
+    pw_house, pw_states and carried_ca, and dem_pop and rep_pop; and the
+    numbers of the degenerate ones: tied_state, with some state's share
+    exactly 0.5, and tied_popular, with an exact popular split and no state tie."""
     z = draw_noise_batch(seed, start, count, model.n_components)
     clamped = generate_shares_batch(model, z, out=_scratch("shares", count, N_STATES))
     np.clip(clamped, 0.0, 1.0, out=clamped)
@@ -179,20 +169,32 @@ def trial_columns(model: PcaModel, dataset: ElectionDataset,
     return {
         "tied_state": start + np.flatnonzero(tied_state),
         "tied_popular": start + np.flatnonzero(tied_popular),
+        "trial": start + np.flatnonzero(keep),
         "pw_dem": pw_dem,
         "pw_house": np.where(pw_dem, house_d, HOUSE_TOTAL - house_d),
         "pw_states": np.where(pw_dem, states_d, N_STATES - states_d),
         "carried_ca": win[:, CALIFORNIA] == pw_dem,
         "dem_pop": dem_pop,
+        "rep_pop": total_pop - dem_pop,
     }
 
 
-def histogram(values: np.ndarray, bin_width: int) -> list:
-    """[lo, lo + bin_width, count] rows for the occupied bins, in order."""
+def _count(block: dict) -> np.ndarray:
+    """The classified trials of a block, counted into CELLS."""
+    index = np.ravel_multi_index(
+        (block["pw_dem"], block["carried_ca"], block["pw_house"], block["pw_states"]), CELLS)
+    return np.bincount(index, minlength=np.prod(CELLS)).reshape(CELLS)
+
+
+def histogram(values: np.ndarray, counts: np.ndarray, bin_width: int) -> list:
+    """[lo, lo + bin_width, count] rows, in order, for the bins whose values,
+    each occurring counts times, occur at all."""
     if bin_width < 1:
         raise ValueError(f"bin_width must be >= 1, got {bin_width}")
-    los, counts = np.unique(bin_width * (values // bin_width), return_counts=True)
-    return [[lo, lo + bin_width, c] for lo, c in zip(los.tolist(), counts.tolist())]
+    los, index = np.unique(bin_width * (values // bin_width), return_inverse=True)
+    sums = np.zeros(len(los), np.int64)
+    np.add.at(sums, index, counts)
+    return [[lo, lo + bin_width, c] for lo, c in zip(los.tolist(), sums.tolist()) if c]
 
 
 def _rate(count: int, n: int) -> float:
@@ -218,11 +220,11 @@ class RunSummary(NamedTuple):
     exact_full_splits: int = 0
     exact_house_splits: int = 0
     records: tuple | None = None
-    table: TrialTable | None = None
+    cells: np.ndarray | None = None   # the classified trials counted, see CELLS
 
     def to_dict(self) -> dict:
         out = self._asdict()
-        del out["records"], out["table"]
+        del out["records"], out["cells"]
         out["diff_histogram"] = {"bin_width": out.pop("bin_width"), "bins": self.diff_histogram}
         return out
 
@@ -230,53 +232,49 @@ class RunSummary(NamedTuple):
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def summarize(table: TrialTable, bin_width: int = DEFAULT_BIN_WIDTH,
-              keep_records: bool = False) -> RunSummary:
-    """Counters and frequencies over the classified trials of a table."""
-    n = len(table.dem_pop)
-
-    def count(mask) -> int:
-        return int(mask.sum())
-
-    codes = table.codes()
-    counts = {name: count(codes == i) for i, name in enumerate(CODES)}
+def summarize(cells: np.ndarray, trials: int, seed: int, degenerate: dict,
+              bin_width: int = DEFAULT_BIN_WIDTH, records: tuple | None = None) -> RunSummary:
+    """Counters and frequencies of the trials counted in cells, each a sum
+    over them; degenerate counts the trials that have no cell."""
+    by_party = cells.sum(axis=1)   # [party, H, S]
+    hs = by_party.sum(axis=0)
+    n = int(hs.sum())
+    codes, full = _code(), _margin(FULL)
+    diffs = np.stack([-full, full])   # Democratic minus Republican, [party, H, S]
+    unpopular = (codes >= 2) & (by_party > 0)   # the occupied cells of LW and LL
+    code_counts = {name: int(hs[codes == i].sum()) for i, name in enumerate(CODES)}
     return RunSummary(
-        trials=table.trials,
-        seed=table.seed,
+        trials=trials,
+        seed=seed,
         n_classified=n,
-        counts=counts,
-        freq={c: _rate(counts[c], n) for c in CODES},
-        unpopular_full=table.unpopular(FULL),
-        unpopular_house=table.unpopular(HOUSE_ONLY),
-        dem_win_rate=_rate(count(table.diffs() > 0), n),
-        states_won_unpopular=table.unpopular(STATES_WON),
-        diff_histogram=histogram(table.diffs()[codes >= 2], bin_width),
+        counts=code_counts,
+        freq={c: _rate(code_counts[c], n) for c in CODES},
+        unpopular_full=_unpopular(hs, FULL),
+        unpopular_house=_unpopular(hs, HOUSE_ONLY),
+        dem_win_rate=_rate(int(by_party[diffs > 0].sum()), n),
+        states_won_unpopular=_unpopular(hs, STATES_WON),
+        diff_histogram=histogram(diffs[unpopular], by_party[unpopular], bin_width),
         bin_width=bin_width,
         california_crosstab={
-            party: {"carried": count(is_party & table.carried_ca),
-                    "missed": count(is_party & ~table.carried_ca)}
-            for party, is_party in ((DEM, table.pw_dem), (REP, ~table.pw_dem))},
-        degenerate={"tied_state": len(table.tied_state),
-                    "tied_popular": len(table.tied_popular)},
-        exact_full_splits=count(table.margin(FULL) == 0),
-        exact_house_splits=count(table.margin(HOUSE_ONLY) == 0),
-        records=_records(table) if keep_records else None,
-        table=table,
+            party: {"carried": int(cells[i, 1].sum()), "missed": int(cells[i, 0].sum())}
+            for party, i in ((DEM, 1), (REP, 0))},
+        degenerate=degenerate,
+        exact_full_splits=int(hs[full == 0].sum()),
+        exact_house_splits=int(hs[_margin(HOUSE_ONLY) == 0].sum()),
+        records=records,
+        cells=cells,
     )
 
 
-def run_batch(model: PcaModel, dataset: ElectionDataset, trials: int, seed: int,
-              threads: int = 1, bin_width: int = DEFAULT_BIN_WIDTH,
-              keep_records: bool = False) -> RunSummary:
-    """Simulate, tally, and classify `trials` elections, drawing each once.
+def _block(model: PcaModel, dataset: ElectionDataset, seed: int, first: int, last: int,
+           threads: int) -> dict:
+    """The kernel's columns of trials first..last-1, joined in trial order.
 
-    The summary carries the trial table for the sweep and the figure data.
+    The calling thread and up to `threads - 1` plain threads, never more than
+    there are chunks beyond the first, take chunk starts from one iterator.
+    Every thread is joined before a failed chunk's exception is raised.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    chunks = range(0, trials, _CHUNK)
+    chunks = range(first, last, _CHUNK)
     starts, parts, errors = iter(chunks), {}, {}
 
     def work():
@@ -284,7 +282,7 @@ def run_batch(model: PcaModel, dataset: ElectionDataset, trials: int, seed: int,
         for start in starts:
             try:
                 parts[start] = trial_columns(model, dataset, seed, start,
-                                             min(_CHUNK, trials - start))
+                                             min(_CHUNK, last - start))
             except BaseException as exc:   # raised below, once every thread is joined
                 errors[start] = exc
                 return
@@ -299,12 +297,39 @@ def run_batch(model: PcaModel, dataset: ElectionDataset, trials: int, seed: int,
             thread.join()
     if errors:   # the first failed chunk's, as when the chunks ran in order
         raise errors[min(errors)]
-    table = TrialTable(
-        seed=seed,
-        trials=trials,
-        total_pop=float(dataset.turnout.astype(float).sum()),
-        **{name: np.concatenate([parts[start][name] for start in chunks]) for name in parts[0]})
-    return summarize(table, bin_width, keep_records)
+    return {name: np.concatenate([parts[start][name] for start in chunks])
+            for name in parts[first]}
+
+
+def run_batch(model: PcaModel, dataset: ElectionDataset, trials: int, seed: int,
+              threads: int = 1, bin_width: int = DEFAULT_BIN_WIDTH,
+              keep_records: bool = False, on_block=None) -> RunSummary:
+    """Simulate, tally, and classify `trials` elections, drawing each once.
+
+    Each block of _BLOCK trials is counted into the summary's cells and
+    passed to on_block(block), if given, and then dropped, so on_block sees
+    every classified row once, in trial order.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    cells, records = np.zeros(CELLS, np.int64), []
+    degenerate = {"tied_state": 0, "tied_popular": 0}
+    try:
+        for first in range(0, trials, _BLOCK):
+            block = _block(model, dataset, seed, first, min(first + _BLOCK, trials), threads)
+            cells += _count(block)
+            for name in degenerate:
+                degenerate[name] += len(block[name])
+            if keep_records:
+                records += _records(block)
+            if on_block is not None:
+                on_block(block)
+    finally:
+        vars(_local).clear()   # the calling thread's _scratch buffers
+    return summarize(cells, trials, seed, degenerate, bin_width,
+                     tuple(records) if keep_records else None)
 
 
 class SweepResult(NamedTuple):
@@ -319,51 +344,47 @@ class SweepResult(NamedTuple):
         return {**self._asdict(), "by_k": {str(k): v for k, v in self.by_k.items()}}
 
 
-def senate_sweep(table: TrialTable, k_values=(0, 2, 10, 100)) -> SweepResult:
-    """Unpopular frequency under the House + k per state rule for each k.
+def senate_sweep(summary: RunSummary, k_values=(0, 2, 10, 100)) -> SweepResult:
+    """Unpopular frequency under the House + k per state rule for each k,
+    from the summary's cells.
 
     A trial is unpopular when the popular winner fails to win a strict
     majority of the pool, so an exact split counts.  Hence by_k[0] equals
-    unpopular_house and by_k[2] equals unpopular_full of the same table.
+    unpopular_house and by_k[2] equals unpopular_full of the same summary.
     A k < 0 raises ValueError (see tally.pool), and a k that is not an
     integer TypeError.
     """
-    return SweepResult(trials=table.trials, seed=table.seed,
-                       by_k={k: table.unpopular(k) for k in map(operator.index, k_values)},
-                       states_won_limit=table.unpopular(STATES_WON))
+    hs = summary.cells.sum(axis=(0, 1))
+    return SweepResult(trials=summary.trials, seed=summary.seed,
+                       by_k={k: _unpopular(hs, k) for k in map(operator.index, k_values)},
+                       states_won_limit=_unpopular(hs, STATES_WON))
 
 
-def _records(table: TrialTable) -> tuple:
-    """OutcomeRecord view of the classified trials."""
-    return tuple(
+def _records(block: dict) -> list:
+    """OutcomeRecord of each classified trial of a block."""
+    house, states = block["pw_house"], block["pw_states"]
+    return [
         OutcomeRecord(trial=t, code=CODES[c], popular_winner=DEM if dem else REP,
                       electoral_winner_full=DEM if d > 0 else REP if d < 0 else None,
                       signed_electoral_diff=d, popular_winner_H=h,
                       popular_winner_S=FULL * s, carried_california=ca)
         for t, c, dem, d, h, s, ca in zip(*(column.tolist() for column in (
-            table.numbers(), table.codes(), table.pw_dem, table.diffs(),
-            table.pw_house, table.pw_states, table.carried_ca))))
+            block["trial"], _code(house, states), block["pw_dem"], _diff(block),
+            house, states, block["carried_ca"])))]
 
 
-def emit_figure_data(table: TrialTable, emit_trials: bool) -> dict:
-    """Tabular data behind the scatter figures and the per-trial records.
-
-    Returns {name: (header, columns)} for csvout.write_csv, over FIGURES[:2],
-    or all of FIGURES with emit_trials: one column per header name over the
-    classified trials, in trial order.  Every bounded column is an (index,
-    fields) pair whose fields cover its whole range: H, S, diff, the code,
-    the party and California's 0/1.  The trial number and the popular votes
-    are numpy arrays.  The difference histogram is RunSummary.diff_histogram.
-    """
-    hs = [(table.pw_house, H_FIELDS), (table.pw_states, S_FIELDS)]
-    codes = (table.codes(), CODES)
-    carried = (table.carried_ca.view(np.int8), ("0", "1"))
-    files = [(["H", "S", "code"], [*hs, codes]),
-             (["H", "S", "popular_winner", "carried_california"],
-              [*hs, (table.pw_dem.view(np.int8), (REP, DEM)), carried])]
+def emit_figure_data(block: dict, emit_trials: bool) -> dict:
+    """{name: columns} of one block's rows in the first two FIGURES, or all
+    three with emit_trials, for csvout.write_csv.  Every bounded column is an
+    (index, fields) pair whose fields cover its whole range: H, S, diff, the
+    code, the party and California's 0/1; the trial number and the popular
+    votes are numpy arrays."""
+    house, states = block["pw_house"], block["pw_states"]
+    hs = [(house, H_FIELDS), (states, S_FIELDS)]
+    codes = (_code(house, states), CODES)
+    carried = (block["carried_ca"].view(np.int8), ("0", "1"))
+    files = [[*hs, codes], [*hs, (block["pw_dem"].view(np.int8), (REP, DEM)), carried]]
     if emit_trials:
-        files.append((
-            ["trial", "code", "dem_pop", "rep_pop", "H", "S", "diff", "california"],
-            [table.numbers(), codes, table.dem_pop, table.total_pop - table.dem_pop, *hs,
-             (table.diffs() + ELECTORS_TOTAL, DIFF_FIELDS), carried]))
+        files.append([block["trial"], codes, block["dem_pop"], block["rep_pop"], *hs,
+                      (_diff(block) + ELECTORS_TOTAL, DIFF_FIELDS), carried])
     return dict(zip(FIGURES, files))

@@ -41,7 +41,7 @@ def summary_20k(model, dataset):
 
 @pytest.fixture(scope="session")
 def sweep_20k(summary_20k):
-    return senate_sweep(summary_20k.table, k_values=(0, 2, 10, 100))
+    return senate_sweep(summary_20k, k_values=(0, 2, 10, 100))
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -162,6 +162,26 @@ def test_simulate_threads_match_serial(tmp_path, capsys):
     assert outputs["1"] == outputs["2"] == outputs["4"]
 
 
+@pytest.mark.parametrize("trials", [2049, 6145])
+def test_simulate_block_size_and_threads_match(tmp_path, capsys, monkeypatch, trials):
+    """Every output byte is the same whatever the block size and the thread
+    count: blocks of one chunk and of three chunks, on 1, 2 and 7 threads."""
+    from elections import montecarlo
+
+    def files(name, threads):
+        out = tmp_path / name
+        assert run(["simulate", "--trials", str(trials), "--seed", "20", "--threads",
+                    str(threads), "--emit-trials", "--out", str(out)], capsys)[0] == 0
+        return _files(out)
+
+    expected = files("default", 1)
+    assert len(expected) == 6
+    for block in (montecarlo._CHUNK, 3 * montecarlo._CHUNK):
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        for threads in (1, 2, 7):
+            assert files(f"{block}-{threads}", threads) == expected, (block, threads)
+
+
 def test_simulate_draws_each_trial_once(tmp_path, capsys, monkeypatch):
     from elections import generator, montecarlo
 
@@ -263,6 +283,15 @@ def test_simulate_largest_k_and_bins(tmp_path, capsys):
     assert sum(c for _, _, c in bins) == summary["counts"]["LW"] + summary["counts"]["LL"]
 
 
+def test_simulate_largest_trials_parses():
+    """The trial bound is checked by parsing alone: no test runs a huge job."""
+    args = build_parser().parse_args(["simulate", "--trials", str(TRIALS_LIMIT - 1)])
+    assert args.trials == TRIALS_LIMIT - 1 == 2**53 - 1
+    with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["simulate", "--trials", str(TRIALS_LIMIT)])
+    assert exc.value.code == 2
+
+
 def test_simulate_largest_threads_parses():
     args = build_parser().parse_args(["simulate", "--threads", str(THREADS_LIMIT - 1)])
     assert args.threads == THREADS_LIMIT - 1
@@ -330,13 +359,14 @@ def _check_csv_text(out, capsys, model, dataset, trials):
 
     assert run(["simulate", "--trials", str(trials), "--seed", "4", "--bins", "7",
                 "--out", str(out), "--emit-trials"], capsys)[0] == 0
+    blocks = []
     summary = run_batch(model, dataset, trials=trials, seed=4, bin_width=7,
-                        keep_records=True)
+                        keep_records=True, on_block=blocks.append)
 
     def text(name):
         return (out / name).read_bytes().decode("utf-8")
 
-    records, table = summary.records, summary.table
+    records, total_pop = summary.records, float(dataset.turnout.astype(float).sum())
     assert text("scatter_hs.csv") == rendered(
         ["H", "S", "code"],
         [(r.popular_winner_H, r.popular_winner_S, r.code) for r in records])
@@ -346,11 +376,11 @@ def _check_csv_text(out, capsys, model, dataset, trials):
           int(r.carried_california)) for r in records])
     assert text("diff_histogram.csv") == rendered(
         ["bin_lo", "bin_hi", "count"], summary.diff_histogram)
-    dem_pop = table.dem_pop.tolist()
+    dem_pop = [d for block in blocks for d in block["dem_pop"].tolist()]
     assert len(dem_pop) == len(records) == trials
     assert text("trials.csv") == rendered(
         ["trial", "code", "dem_pop", "rep_pop", "H", "S", "diff", "california"],
-        [(r.trial, r.code, repr(d), repr(table.total_pop - d), r.popular_winner_H,
+        [(r.trial, r.code, repr(d), repr(total_pop - d), r.popular_winner_H,
           r.popular_winner_S, r.signed_electoral_diff, int(r.carried_california))
          for r, d in zip(records, dem_pop)])
     if trials == 7:   # no unpopular trial among them
@@ -647,6 +677,71 @@ def test_out_of_memory_is_one_line(tmp_path, capsys, monkeypatch, target, thread
         1, "", "MemoryError: Unable to allocate 91.6 MiB\n")
     assert _files(out) == before
     assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("error", [MemoryError("Unable to allocate 1.00 MiB"),
+                                   OSError(28, "No space left on device")],
+                         ids=["MemoryError", "OSError"])
+def test_failure_after_a_block_leaves_previous_outputs(tmp_path, capsys, monkeypatch, error):
+    """A run that fails in its second block, after the first block's rows are
+    in the staged files, exits 1 with one stderr line, leaves the previous
+    outputs as they were and leaves no temporary file."""
+    from elections import montecarlo
+
+    out = tmp_path / "o"
+    argv = ["simulate", "--trials", "5000", "--threads", "2", "--emit-trials", "--out", str(out)]
+    assert run([*argv, "--seed", "5"], capsys)[0] == 0
+    before = _files(out)
+    emit, blocks = montecarlo.emit_figure_data, []
+
+    def failing(block, emit_trials):
+        blocks.append(len(block["trial"]))
+        if len(blocks) == 2:
+            raise error
+        return emit(block, emit_trials)
+
+    monkeypatch.setattr(montecarlo, "_BLOCK", montecarlo._CHUNK)
+    monkeypatch.setattr(montecarlo, "emit_figure_data", failing)
+    code, stdout, err = run([*argv, "--seed", "6"], capsys)
+    assert (code, stdout) == (1, "") and len(blocks) == 2
+    assert len(err.splitlines()) == 1 and type(error).__name__ in err
+    assert _files(out) == before
+    assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_bytes_depend_on_the_simd_dispatch_only_in_the_popular_votes(tmp_path):
+    """With numpy's AVX-512 loops turned off, its float64 log rounds a few
+    uniforms differently, so a few trials.csv rows differ in the last digits
+    of dem_pop and rep_pop.  The other five files are byte-identical, and
+    acceptance 5's bands hold."""
+    import subprocess
+    import sys
+
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:   # numpy 1
+        from numpy.core._multiarray_umath import __cpu_features__
+    if not __cpu_features__.get("AVX512F"):
+        pytest.skip("the CPU has no AVX-512")
+    env = _child_env(["NPY_DISABLE_CPU_FEATURES"])
+    argv = [sys.executable, "-m", "elections.cli", "simulate", "--trials", "20000",
+            "--emit-trials", "--out"]
+    subprocess.run([*argv, str(tmp_path / "default")], env=env, capture_output=True, check=True)
+    subprocess.run([*argv, str(tmp_path / "off")], capture_output=True, check=True,
+                   env={**env, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"})
+    default, off = _files(tmp_path / "default"), _files(tmp_path / "off")
+    assert len(default) == 6 and default.keys() == off.keys()
+    for name in default.keys() - {"trials.csv"}:
+        assert off[name] == default[name], name
+    rows = [list(csv.reader(io.StringIO(files["trials.csv"].decode()))) for files in (default, off)]
+    assert len(rows[0]) == len(rows[1]) == 20001
+    for a, b in zip(*rows):
+        assert a[:2] + a[4:] == b[:2] + b[4:]
+    summary, sweep = json.loads(off["run_summary.json"]), json.loads(off["senate_sweep.json"])
+    assert 0.039 <= summary["unpopular_full"] <= 0.060
+    assert 0.059 <= summary["unpopular_house"] <= 0.080
+    assert 0.050 <= sweep["states_won_limit"] <= 0.072
+    assert 0.40 <= summary["dem_win_rate"] <= 0.48
 
 
 def _cli(argv):
@@ -1055,6 +1150,25 @@ def test_main_fails_cleanly_on_any_argv(tmp_path_factory, save_dataset, argv, ta
     assert (code == 0) == (errors == [])
     assert not [p for p in directory.rglob("*") if p.name.endswith(".tmp")]
     assert (directory / "file").read_text() == "keep\n"
+
+
+def test_run_study_imports_elections_before_numpy():
+    """The study script imports elections first, so numpy's BLAS starts with the
+    one thread that elections sets: after the script's imports the process
+    still has one OS thread, not one per CPU."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("needs /proc/self/task")
+    script = Path(__file__).parents[1] / "scripts" / "run_study.py"
+    probe = ("import os, runpy; runpy.run_path(%r, run_name='run_study'); "
+             "print(len(os.listdir('/proc/self/task')))" % str(script))
+    env = _child_env(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split() == ["1"]
 
 
 @pytest.mark.parametrize("argv", [["--trials", "0"], ["--threads", "0"], ["--seed", "-1"],

@@ -4,11 +4,13 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from elections import montecarlo as mc
 from elections import scenarios
 from elections.generator import draw_noise, generate_shares
-from elections.tally import DEM, REP, TallyResult, electoral_totals
+from elections.tally import (DEM, FULL, HOUSE_ONLY, REP, STATES_WON, TallyResult,
+                             electoral_totals, pool)
 
 
 def make_tally(dem_house, dem_states, dem_pop=6.0e7, rep_pop=5.9e7,
@@ -21,15 +23,32 @@ def make_tally(dem_house, dem_states, dem_pop=6.0e7, rep_pop=5.9e7,
     )
 
 
-def make_table(n, **columns):
-    """Hand-built TrialTable of n identical WW trials and no degenerate one,
-    overridden by columns."""
+TOTAL_POP = 1.2e8
+
+
+def make_block(n, **columns):
+    """Hand-built block of the kernel's columns: trials 0..n-1, identical WW
+    trials and no degenerate one, overridden by columns."""
     none = np.zeros(0, np.intp)
-    base = dict(seed=0, trials=n, total_pop=1.2e8, tied_state=none, tied_popular=none,
-                pw_dem=np.ones(n, bool),
+    base = dict(tied_state=none, tied_popular=none, trial=np.arange(n), pw_dem=np.ones(n, bool),
                 pw_house=np.full(n, 300), pw_states=np.full(n, 30),
                 carried_ca=np.ones(n, bool), dem_pop=np.full(n, 6.1e7))
-    return mc.TrialTable(**{**base, **columns})
+    block = {**base, **columns}
+    return {**block, "rep_pop": TOTAL_POP - block["dem_pop"]}
+
+
+def summarize_block(block, trials=None):
+    """The summary of a run of `trials` trials (default: the block's rows) and one block."""
+    degenerate = {name: len(block[name]) for name in ("tied_state", "tied_popular")}
+    return mc.summarize(mc._count(block), len(block["trial"]) if trials is None else trials,
+                        0, degenerate)
+
+
+def run_blocks(*args, **kwargs):
+    """run_batch's summary, and the columns of the blocks it passed on, joined."""
+    blocks = []
+    summary = mc.run_batch(*args, on_block=blocks.append, **kwargs)
+    return summary, {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
 
 
 def test_classify_scenarios():
@@ -112,20 +131,27 @@ def _with_chunk(monkeypatch, chunk, *args, **kwargs):
 
 
 def test_table_chunk_invariance(model, dataset, monkeypatch):
-    a = _with_chunk(monkeypatch, 4096, model, dataset, trials=5000, seed=3).table
-    for chunk in (777, 1):
-        b = _with_chunk(monkeypatch, chunk, model, dataset, trials=5000, seed=3).table
-        for name in mc.TrialTable._fields:
-            assert np.array_equal(getattr(a, name), getattr(b, name)), (chunk, name)
+    """Every column of every block, and the counts, whatever the chunk and block sizes."""
+    a_summary, a = run_blocks(model, dataset, trials=5000, seed=3)
+    for chunk, block in ((777, 1000), (1, 3 * 777), (4096, 4096)):
+        monkeypatch.setattr(mc, "_CHUNK", chunk)
+        monkeypatch.setattr(mc, "_BLOCK", block)
+        b_summary, b = run_blocks(model, dataset, trials=5000, seed=3)
+        assert a.keys() == b.keys()
+        for name in a:
+            assert np.array_equal(a[name], b[name]), (chunk, name)
+        assert np.array_equal(a_summary.cells, b_summary.cells)
+        assert a_summary.to_json() == b_summary.to_json()
 
 
 def test_one_row_last_chunk_matches_longer_run(model, dataset, monkeypatch):
     # trial 2048 of seed 4 is drawn alone in the last chunk; numpy's
     # matrix-vector product rounds its dem_pop differently from a matrix one
-    short = _with_chunk(monkeypatch, 2048, model, dataset, trials=2049, seed=4).table
-    long = _with_chunk(monkeypatch, 2048, model, dataset, trials=2100, seed=4).table
-    for name in ("pw_dem", "pw_house", "pw_states", "carried_ca", "dem_pop"):
-        assert np.array_equal(getattr(short, name), getattr(long, name)[:2049]), name
+    monkeypatch.setattr(mc, "_CHUNK", 2048)
+    short = run_blocks(model, dataset, trials=2049, seed=4)[1]
+    long = run_blocks(model, dataset, trials=2100, seed=4)[1]
+    for name in ("trial", "pw_dem", "pw_house", "pw_states", "carried_ca", "dem_pop", "rep_pop"):
+        assert np.array_equal(short[name], long[name][:2049]), name
 
 
 def test_kernel_columns_do_not_view_reused_buffers(model, dataset):
@@ -137,6 +163,13 @@ def test_kernel_columns_do_not_view_reused_buffers(model, dataset):
     for name, column in first.items():
         assert np.array_equal(column, kept[name]), name
         assert not any(np.shares_memory(column, buf) for buf in buffers), name
+
+
+def test_run_batch_frees_the_calling_threads_buffers(model, dataset):
+    mc.trial_columns(model, dataset, 0, 0, 10)
+    assert vars(mc._local)
+    mc.run_batch(model, dataset, trials=5000, seed=1, threads=2)
+    assert not any(isinstance(buf, np.ndarray) for buf in vars(mc._local).values())
 
 
 def test_electors_won_is_exact(dataset):
@@ -245,17 +278,25 @@ def test_sweep_values_sane(sweep_20k):
 
 def test_sweep_rejects_negative_k(summary_20k):
     with pytest.raises(ValueError):
-        mc.senate_sweep(summary_20k.table, k_values=(-1,))
+        mc.senate_sweep(summary_20k, k_values=(-1,))
     with pytest.raises(ValueError):
-        summary_20k.table.margin(-1)
+        mc._unpopular(summary_20k.cells.sum(axis=(0, 1)), -1)
 
 
 def test_sweep_rejects_non_integer_k(summary_20k, sweep_20k):
     # a k of 2.9 once took the key 2 with its own rate, hiding k = 2's
     with pytest.raises(TypeError):
-        mc.senate_sweep(summary_20k.table, k_values=(2, 2.5, 2.9))
-    sweep = mc.senate_sweep(summary_20k.table, k_values=np.array([0, 2, 10, 100]))
+        mc.senate_sweep(summary_20k, k_values=(2, 2.5, 2.9))
+    sweep = mc.senate_sweep(summary_20k, k_values=np.array([0, 2, 10, 100]))
     assert sweep == sweep_20k and [type(k) for k in sweep.by_k] == [int] * 4
+
+
+def test_sweep_at_the_largest_k(summary_20k, sweep_20k):
+    """k = 10**16 - 1, the largest --k-values takes, fits in int64: 51 states never
+    split evenly, so above k = 436 the states carried decide."""
+    k = 10**16 - 1
+    sweep = mc.senate_sweep(summary_20k, k_values=(437, k))
+    assert sweep.by_k == {437: sweep_20k.states_won_limit, k: sweep_20k.states_won_limit}
 
 
 def test_run_batch_rejects_zero_trials(model, dataset):
@@ -269,46 +310,57 @@ def test_run_batch_rejects_zero_trials(model, dataset):
 def test_histogram_rejects_bin_width_below_one(summary_20k, bin_width):
     """The histogram checks the width it divides by, whoever calls it."""
     with pytest.raises(ValueError, match="bin_width must be >= 1"):
-        mc.histogram(np.array([-45, -3, 0, 17]), bin_width)
+        mc.histogram(np.array([-45, -3, 0, 17]), np.ones(4, np.int64), bin_width)
     with pytest.raises(ValueError, match="bin_width must be >= 1"):
-        mc.summarize(summary_20k.table, bin_width)
+        mc.summarize(summary_20k.cells, 20000, 0, summary_20k.degenerate, bin_width)
+
+
+def test_histogram_drops_empty_bins():
+    """A bin whose values all have count 0 gets no row, as np.unique gives no
+    bin for a value that is not there; a value counted twice counts twice."""
+    values, counts = np.array([-45, -41, -3, 0, 17, 538]), np.array([2, 1, 0, 0, 1, 0])
+    assert mc.histogram(values, counts, 20) == [[-60, -40, 3], [0, 20, 1]]
+    assert mc.histogram(values, np.zeros(6, np.int64), 20) == []
+    assert mc.histogram(values[:0], counts[:0], 7) == []
 
 
 def test_all_degenerate_table_reductions():
-    table = make_table(0, trials=3, tied_state=np.array([0, 1]), tied_popular=np.array([2]))
-    s = mc.summarize(table)
+    block = make_block(0, tied_state=np.array([0, 1]), tied_popular=np.array([2]))
+    s = summarize_block(block, trials=3)
     assert s.trials == 3 and s.n_classified == 0
     assert s.degenerate == {"tied_state": 2, "tied_popular": 1}
     assert set(s.freq.values()) == {0.0}
     assert (s.unpopular_full, s.unpopular_house, s.dem_win_rate,
             s.states_won_unpopular) == (0.0, 0.0, 0.0, 0.0)
     assert s.diff_histogram == []
-    sw = mc.senate_sweep(table)
+    sw = mc.senate_sweep(s)
     assert set(sw.by_k.values()) == {0.0} and sw.states_won_limit == 0.0
 
 
 def test_trial_numbers_skip_degenerate_trials():
     # trials 1 and 3 are degenerate; rows 0..2 are trials 0, 2 and 4, and the
     # popular winner loses the full college in trial 2 only
-    table = make_table(3, trials=5, tied_state=np.array([1]), tied_popular=np.array([3]),
-                       pw_house=np.array([300, 200, 300]))
-    assert table.numbers().tolist() == [0, 2, 4]
-    header, columns = mc.emit_figure_data(table, True)["trials.csv"]
-    assert _values(columns[header.index("trial")]) == [0, 2, 4]
-    s = mc.summarize(table, keep_records=True)
-    assert [(r.trial, r.code) for r in s.records] == [(0, "WW"), (2, "LL"), (4, "WW")]
+    block = make_block(3, trial=np.array([0, 2, 4]), tied_state=np.array([1]),
+                       tied_popular=np.array([3]), pw_house=np.array([300, 200, 300]))
+    columns = mc.emit_figure_data(block, True)["trials.csv"]
+    assert _values(columns[mc.FIGURES["trials.csv"].index("trial")]) == [0, 2, 4]
+    records = mc._records(block)
+    assert [(r.trial, r.code) for r in records] == [(0, "WW"), (2, "LL"), (4, "WW")]
+    s = summarize_block(block, trials=5)
     assert (s.trials, s.n_classified) == (5, 3)
     assert s.degenerate == {"tied_state": 1, "tied_popular": 1}
-    sw = mc.senate_sweep(table, k_values=(0, 2, 10**6))
+    sw = mc.senate_sweep(s, k_values=(0, 2, 10**6))
     assert sw.by_k == {0: 1 / 3, 2: 1 / 3, 10**6: 0.0}
     assert sw.states_won_limit == 0.0 == s.states_won_unpopular
     assert (s.unpopular_house, s.unpopular_full) == (1 / 3, 1 / 3)
 
 
 def test_kernel_drops_degenerate_trials(model, dataset, monkeypatch):
-    """The first trial of each chunk is made a state tie: it gets no row,
-    and the other rows are those of the untouched run."""
-    clean = _with_chunk(monkeypatch, 3, model, dataset, trials=8, seed=5).table
+    """The first trial of each chunk is made a state tie: it gets no row and
+    no cell, and the other rows are those of the untouched run."""
+    monkeypatch.setattr(mc, "_CHUNK", 3)
+    monkeypatch.setattr(mc, "_BLOCK", 6)
+    clean = run_blocks(model, dataset, trials=8, seed=5)[1]
     original = mc.generate_shares_batch
 
     def tie_first_row(*args, **kwargs):
@@ -317,11 +369,13 @@ def test_kernel_drops_degenerate_trials(model, dataset, monkeypatch):
         return shares
 
     monkeypatch.setattr(mc, "generate_shares_batch", tie_first_row)
-    table = _with_chunk(monkeypatch, 3, model, dataset, trials=8, seed=5).table
-    assert table.tied_state.tolist() == [0, 3, 6] and table.tied_popular.tolist() == []
-    assert table.trials == 8 and table.numbers().tolist() == [1, 2, 4, 5, 7]
-    for name in ("pw_dem", "pw_house", "pw_states", "carried_ca", "dem_pop"):
-        assert np.array_equal(getattr(table, name), getattr(clean, name)[table.numbers()])
+    s, block = run_blocks(model, dataset, trials=8, seed=5)
+    assert block["tied_state"].tolist() == [0, 3, 6] and block["tied_popular"].tolist() == []
+    assert block["trial"].tolist() == [1, 2, 4, 5, 7]
+    assert (s.trials, s.n_classified) == (8, 5) and s.cells.sum() == 5
+    assert s.degenerate == {"tied_state": 3, "tied_popular": 0}
+    for name in ("pw_dem", "pw_house", "pw_states", "carried_ca", "dem_pop", "rep_pop"):
+        assert np.array_equal(block[name], clean[name][block["trial"]]), name
 
 
 def test_summary_json_round_trip(summary_20k):
@@ -358,16 +412,16 @@ FIELD_COUNTS = {"H": 437, "S": 52, "diff": 1077, "code": 4, "popular_winner": 2,
                 "carried_california": 2, "california": 2}
 
 
-def _field_counts(table) -> dict:
+def _field_counts(block) -> dict:
     """{header name: {number of fields}} of the (index, fields) pairs of the
     three figure files; the other columns are numpy arrays."""
     counts = {}
-    for header, columns in mc.emit_figure_data(table, True).values():
-        for name, column in zip(header, columns):
+    for name, columns in mc.emit_figure_data(block, True).items():
+        for field, column in zip(mc.FIGURES[name], columns):
             if isinstance(column, tuple):
-                counts.setdefault(name, set()).add(len(column[1]))
+                counts.setdefault(field, set()).add(len(column[1]))
             else:
-                assert name in ("trial", "dem_pop", "rep_pop")
+                assert field in ("trial", "dem_pop", "rep_pop")
                 assert isinstance(column, np.ndarray)
     return counts
 
@@ -378,27 +432,26 @@ HEADERS = {
     "trials.csv": ["trial", "code", "dem_pop", "rep_pop", "H", "S", "diff", "california"]}
 
 
-def test_emit_figure_data(summary_20k):
-    """Each pair's fields cover its whole range, whatever the table holds."""
-    for table in (summary_20k.table, make_table(1)):
-        assert _field_counts(table) == {name: {n} for name, n in FIELD_COUNTS.items()}
-    table, records = summary_20k.table, summary_20k.records
-    for emit_trials, names in ((False, mc.FIGURES[:2]), (True, mc.FIGURES)):
-        files = mc.emit_figure_data(table, emit_trials)
-        assert tuple(files) == names
-        assert {name: header for name, (header, _) in files.items()} == {
-            name: HEADERS[name] for name in names}
-    columns = files["scatter_hs.csv"][1]
+def test_emit_figure_data(model, dataset):
+    """Each pair's fields cover its whole range, whatever the block holds."""
+    summary, block = run_blocks(model, dataset, trials=20000, seed=0, keep_records=True)
+    for b in (block, make_block(1)):
+        assert _field_counts(b) == {name: {n} for name, n in FIELD_COUNTS.items()}
+    assert mc.FIGURES == HEADERS
+    records = summary.records
+    for emit_trials, names in ((False, list(HEADERS)[:2]), (True, list(HEADERS))):
+        files = mc.emit_figure_data(block, emit_trials)
+        assert list(files) == names
+        assert all(len(columns) == len(HEADERS[name]) for name, columns in files.items())
+    columns = files["scatter_hs.csv"]
     assert columns[2][1] == mc.CODES
     assert _rows(columns) == [(str(r.popular_winner_H), str(r.popular_winner_S), r.code)
                               for r in records]
-    columns = files["california_scatter.csv"][1]
+    columns = files["california_scatter.csv"]
     assert _rows(columns) == [(str(r.popular_winner_H), str(r.popular_winner_S), r.popular_winner,
                                str(int(r.carried_california))) for r in records]
-    header, columns = files["trials.csv"]
-    assert len(header) == len(columns) == 8
-    rows = _rows(columns)
-    assert len(rows) == len(records) == summary_20k.n_classified
+    rows = _rows(files["trials.csv"])
+    assert len(rows) == len(records) == summary.n_classified
     for (trial, code, dem_pop, rep_pop, h, s, diff, ca), rec in zip(rows, records):
         assert (trial, code, h, s, diff, ca) == (
             rec.trial, rec.code, str(rec.popular_winner_H), str(rec.popular_winner_S),
@@ -419,25 +472,25 @@ def test_figure_files_at_the_ends_of_each_range():
             (436, 51, False, False, "WW", -538), (0, 0, False, True, "LL", 538),
             (200, 51, True, True, "WL", 66), (250, 0, False, False, "LW", 38)]
     house, states, dem, ca, codes, diffs = (np.array(c) for c in zip(*rows))
-    table = make_table(len(rows), trials=len(rows) + 1, tied_popular=np.array([2]),
-                       pw_house=house, pw_states=states, pw_dem=dem, carried_ca=ca,
-                       dem_pop=np.where(dem, 6.1e7, 5.9e7))
+    block = make_block(len(rows), trial=np.array([0, 1, 3, 4, 5, 6]),
+                       tied_popular=np.array([2]), pw_house=house, pw_states=states,
+                       pw_dem=dem, carried_ca=ca, dem_pop=np.where(dem, 6.1e7, 5.9e7))
     party, s = np.where(dem, DEM, REP), 2 * states
-    ca, rep_pop = ca.astype(int), table.total_pop - table.dem_pop
+    ca, rep_pop = ca.astype(int), TOTAL_POP - block["dem_pop"]
     expected = {
         "scatter_hs.csv": zip(house, s, codes),
         "california_scatter.csv": zip(house, s, party, ca),
-        "trials.csv": zip([0, 1, 3, 4, 5, 6], codes, map(repr, table.dem_pop.tolist()),
+        "trials.csv": zip([0, 1, 3, 4, 5, 6], codes, map(repr, block["dem_pop"].tolist()),
                           map(repr, rep_pop.tolist()), house, s, diffs, ca)}
-    files = mc.emit_figure_data(table, True)
+    files = mc.emit_figure_data(block, True)
     for name, values in expected.items():
-        header, columns = files[name]
+        header = mc.FIGURES[name]
         out, buf = io.BytesIO(), io.StringIO()
-        write_csv(out, header, columns)
+        write_csv(out, header, files[name])
         csv.writer(buf, lineterminator="\n").writerows([header, *values])
         assert out.getvalue().decode() == buf.getvalue()
-    assert [mc.CODES[c] for c in table.codes()] == codes.tolist()
-    assert table.diffs().tolist() == diffs.tolist()
+    assert [mc.CODES[c] for c in mc._code(house, states)] == codes.tolist()
+    assert mc._diff(block).tolist() == diffs.tolist()
 
 
 def test_emit_figure_data_errors():
@@ -445,17 +498,80 @@ def test_emit_figure_data_errors():
 
     from elections.csvout import write_csv
 
-    degenerate = make_table(0, trials=1, tied_state=np.array([0]))
-    for name, (header, columns) in mc.emit_figure_data(degenerate, True).items():
-        assert header == HEADERS[name]
+    degenerate = make_block(0, tied_state=np.array([0]))
+    for name, columns in mc.emit_figure_data(degenerate, True).items():
+        header = HEADERS[name]
         assert len(columns) == len(header) and all(_values(c) == [] for c in columns)
+        for head, text in ((header, ",".join(header) + "\n"), (None, "")):
+            out = io.BytesIO()
+            write_csv(out, head, columns)   # the header only, or nothing
+            assert out.getvalue().decode() == text
         out = io.BytesIO()
-        write_csv(out, header, columns)   # the header only
+        write_csv(out, header, [])
         assert out.getvalue().decode() == ",".join(header) + "\n"
 
 
 def test_emit_histogram_empty_when_all_ww():
-    table = make_table(1)
-    assert mc.CODES[table.codes()[0]] == "WW"
-    s = mc.summarize(table)
+    block = make_block(1)
+    assert mc.CODES[mc._code(block["pw_house"], block["pw_states"])[0]] == "WW"
+    s = summarize_block(block)
     assert s.n_classified == 1 and s.diff_histogram == []
+
+
+# (H, S) of the popular winner: any pair, or one of the exact splits (H + 2 S = 269
+# for the full college, H = 218 for House electors alone) and the ends
+HS = (st.tuples(st.integers(0, 436), st.integers(0, 51))
+      | st.sampled_from([(219, 25), (269, 0), (218, 26), (218, 25), (0, 0), (436, 51)]))
+ROWS = st.lists(st.tuples(st.booleans(), st.booleans(), HS), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(blocks=st.lists(ROWS, min_size=1, max_size=4), tied=st.tuples(st.integers(0, 3),
+       st.integers(0, 3)), bin_width=st.integers(1, 40) | st.just(10**9 - 1),
+       k_values=st.lists(st.integers(0, 600) | st.just(10**16 - 1), max_size=5))
+def test_counts_match_per_trial_reductions(blocks, tied, bin_width, k_values):
+    """Every summary field and sweep rate from the counts of random blocks equals
+    the per-trial reduction of the trial table the counts replaced."""
+    columns = [{"pw_dem": np.array([r[0] for r in rows], bool),
+                "carried_ca": np.array([r[1] for r in rows], bool),
+                "pw_house": np.array([r[2][0] for r in rows], np.int64),
+                "pw_states": np.array([r[2][1] for r in rows], np.int64)} for rows in blocks]
+    cells = sum(mc._count(block) for block in columns)
+    s = mc.summarize(cells, int(cells.sum()) + sum(tied), 0,
+                     {"tied_state": tied[0], "tied_popular": tied[1]}, bin_width)
+    sweep = mc.senate_sweep(s, k_values)
+
+    # the trial table's columns and formulas
+    dem, ca, house, states = (np.concatenate([block[name] for block in columns]) for name in
+                              ("pw_dem", "carried_ca", "pw_house", "pw_states"))
+    n = len(dem)
+
+    def margin(k):
+        return 2 * pool(house, states, k) - pool(436, 51, k)
+
+    def rate(count):
+        return count / n if n else 0.0
+
+    def unpopular(k):
+        return rate(int((margin(k) <= 0).sum()))
+
+    codes = 2 * (margin(FULL) <= 0) + (margin(HOUSE_ONLY) <= 0)
+    diffs = np.where(dem, margin(FULL), -margin(FULL))
+    code_counts = {name: int((codes == i).sum()) for i, name in enumerate(mc.CODES)}
+    los, hist = np.unique(bin_width * (diffs[codes >= 2] // bin_width), return_counts=True)
+    assert s.to_dict() == {
+        "trials": n + sum(tied), "seed": 0, "n_classified": n, "counts": code_counts,
+        "freq": {c: rate(code_counts[c]) for c in mc.CODES},
+        "unpopular_full": unpopular(FULL), "unpopular_house": unpopular(HOUSE_ONLY),
+        "dem_win_rate": rate(int((diffs > 0).sum())),
+        "states_won_unpopular": unpopular(STATES_WON),
+        "diff_histogram": {"bin_width": bin_width, "bins": [
+            [lo, lo + bin_width, c] for lo, c in zip(los.tolist(), hist.tolist())]},
+        "california_crosstab": {
+            party: {"carried": int((is_party & ca).sum()), "missed": int((is_party & ~ca).sum())}
+            for party, is_party in ((DEM, dem), (REP, ~dem))},
+        "degenerate": {"tied_state": tied[0], "tied_popular": tied[1]},
+        "exact_full_splits": int((margin(FULL) == 0).sum()),
+        "exact_house_splits": int((margin(HOUSE_ONLY) == 0).sum())}
+    assert sweep.by_k == {k: unpopular(k) for k in k_values}
+    assert sweep.states_won_limit == unpopular(STATES_WON)
