@@ -1,11 +1,17 @@
 """The program's one CSV writer, numpy columns rendered as csv.writer's text:
 `simulate` writes its four CSV files and `pca --loadings` its stdout with it."""
 
+import functools
+
 import numpy as np
 
-# write_csv renders and writes SLICE_ROWS lines at a time: a slice's blocks then
-# stay in the cache, and its byte matrix is copied into row order quickly
-SLICE_ROWS = 1 << 13
+# write_csv renders SLICE_ROWS lines at a time, so that a slice's blocks stay in
+# the cache, and copies them into row order BAND byte positions at a time, as
+# numpy's byte transpose slows with the rows it reads at once (2-vCPU AMD EPYC):
+#   slice width (bytes)  11   16   24   32   62
+#   one .T.copy() (µs)   26   64  169  244  738
+#   12-wide bands (µs)   27   49   58   82  169
+SLICE_ROWS, BAND = 1 << 13, 12
 
 # DIGITS[:, v] is the four ASCII digits of v < 10**4, zero-padded; POW10[i] = 10**i
 DIGITS = (np.arange(10**4) // 10 ** np.arange(3, -1, -1)[:, None] % 10 + 48).astype(np.uint8)
@@ -41,10 +47,8 @@ def _number(u: np.ndarray) -> np.ndarray:
 
 def _ints(v: np.ndarray) -> np.ndarray:
     """The block of int64 values: a sign, then the digits."""
-    neg = v < 0
-    u = v.astype(np.uint64)
-    return np.vstack([np.where(neg, ord("-"), PAD).astype(np.uint8),
-                      _number(np.where(neg, np.uint64(0) - u, u))])
+    return np.vstack([np.where(v < 0, ord("-"), PAD).astype(np.uint8),
+                      _number(np.abs(v).astype(np.uint64))])   # abs(-2**63) is 2**63 as uint64
 
 
 def _floats(x: np.ndarray) -> np.ndarray:
@@ -94,13 +98,15 @@ def _floats(x: np.ndarray) -> np.ndarray:
     return text
 
 
-def _fields(fields) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _fields(fields: tuple) -> np.ndarray:
     """The block of each field in UTF-8, padded to the longest: column f is
-    fields[f]."""
+    fields[f].  Built once per tuple of fields and read-only."""
     encoded = [f.encode() for f in fields]
     table = np.array(encoded, dtype=bytes)
     text = table.view(np.uint8).reshape(len(encoded), table.itemsize).T.copy()
     text[np.array([len(e) for e in encoded]) <= np.arange(table.itemsize)[:, None]] = PAD
+    text.flags.writeable = False
     return text
 
 
@@ -109,8 +115,7 @@ def _render(columns, rows) -> np.ndarray:
     blocks = []
     for end, column in zip([","] * (len(columns) - 1) + ["\n"], columns):
         if isinstance(column, tuple):
-            text, index = column
-            block = np.take(text, index[rows], axis=1)
+            block = np.take(column[0], column[1][rows], axis=1)
         elif column.dtype.kind == "f":
             block = _floats(column[rows].astype(np.float64, copy=False))
         else:
@@ -128,14 +133,18 @@ def write_csv(f, header: list | None, columns) -> None:
     standing for fields[index], where fields covers the column's whole range
     and no field needs CSV quoting; the text is what csv.writer writes for
     the same rows, floats as repr writes them.  Each slice of SLICE_ROWS rows
-    is rendered as one byte matrix, a fixed-width block per column, copied
-    into row order and written without its PAD bytes in one call; the text
-    of a file is never held whole.
+    is rendered as one byte matrix of fixed-width blocks, pairs' taken from
+    a table of their fields built once, copied into a bytearray in row order
+    BAND bytes at a time, and written in one call, translate dropping PAD.
     """
     n = len(columns[0][0] if isinstance(columns[0], tuple) else columns[0]) if len(columns) else 0
-    columns = [(_fields(c[1]), c[0]) if isinstance(c, tuple) else c for c in columns]
+    columns = [(_fields(tuple(c[1])), c[0]) if isinstance(c, tuple) else c for c in columns]
     if header is not None:
         f.write((",".join(header) + "\n").encode())
     for start in range(0, n, SLICE_ROWS):
-        text = _render(columns, slice(start, start + SLICE_ROWS)).T.copy()
-        f.write(text[text != PAD])
+        block = _render(columns, slice(start, start + SLICE_ROWS))
+        lines = bytearray(block.size)
+        text = np.frombuffer(lines, np.uint8).reshape(block.shape[::-1])
+        for lo in range(0, len(block), BAND):
+            text[:, lo:lo + BAND] = block[lo:lo + BAND].T
+        f.write(lines.translate(None, bytes([PAD])))

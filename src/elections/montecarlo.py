@@ -349,14 +349,14 @@ def senate_sweep(summary: RunSummary, k_values=(0, 2, 10, 100)) -> SweepResult:
     from the summary's cells.
 
     A trial is unpopular when the popular winner fails to win a strict
-    majority of the pool, so an exact split counts.  Hence by_k[0] equals
-    unpopular_house and by_k[2] equals unpopular_full of the same summary.
-    A k < 0 raises ValueError (see tally.pool), and a k that is not an
-    integer TypeError.
+    majority of the pool, so an exact split counts: by_k[0] is unpopular_house
+    and by_k[2] unpopular_full.  Above HOUSE_TOTAL the margin has the sign of
+    the odd 2S - 51, so every such k is counted as 437: the states-won rate.
+    A k < 0 raises ValueError (see tally.pool), a non-integer k TypeError.
     """
     hs = summary.cells.sum(axis=(0, 1))
-    return SweepResult(trials=summary.trials, seed=summary.seed,
-                       by_k={k: _unpopular(hs, k) for k in map(operator.index, k_values)},
+    by_k = {k: _unpopular(hs, min(k, HOUSE_TOTAL + 1)) for k in map(operator.index, k_values)}
+    return SweepResult(trials=summary.trials, seed=summary.seed, by_k=by_k,
                        states_won_limit=_unpopular(hs, STATES_WON))
 
 

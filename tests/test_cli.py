@@ -455,6 +455,32 @@ def test_write_csv_above_one_slice():
         _check_write_csv(specs, SLICE_ROWS + 5, 0)
 
 
+# floats of 10 bytes each: two rendered from their bits, two repr'd (below 2**23)
+FLOATS_10 = ("float", [12345678.5, 1e7, -1234567.5, 1234567.25])
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, SLICE_ROWS - 1, SLICE_ROWS, SLICE_ROWS + 1])
+@pytest.mark.parametrize("width, specs", [
+    (2, [("pair", ["y", "z"])]),   # csv.writer quotes a line of one empty field
+    (11, [FLOATS_10]),
+    (12, [("pair", ["y", "z" * 11])]),
+    (13, [FLOATS_10, ("pair", ["", "z"])]),
+    (24, [FLOATS_10, ("int", [-12, 34]), ("pair", ["", "z" * 8])]),
+    (25, [FLOATS_10, ("int", [-12, 34]), ("pair", ["", "z" * 9])]),
+    (62, [FLOATS_10, ("int", [-12, 34]), ("pair", ["", "zé" * 4]), FLOATS_10,
+          ("int", [-9 * 10**18, 8 * 10**18]), ("pair", ["", "z"])]),
+], ids=lambda v: str(v) if isinstance(v, int) else None)
+def test_write_csv_across_band_edges(width, specs, n):
+    """Slices as wide as one band, or with rows on each side of a band edge;
+    with an empty field among the pairs, some byte positions hold only PAD."""
+    from elections import csvout
+
+    columns, _ = _table(specs, n, width)
+    columns = [(csvout._fields(c[1]), c[0]) if isinstance(c, tuple) else c for c in columns]
+    assert csvout._render(columns, slice(0, SLICE_ROWS)).shape[0] == width
+    _check_write_csv(specs, n, width)
+
+
 def test_write_csv_appends_to_what_the_stream_holds(tmp_path):
     """On a stream that already holds bytes, write_csv keeps them and appends
     exactly what it writes to a fresh file, without a seek or a truncate."""

@@ -277,26 +277,29 @@ def test_sweep_values_sane(sweep_20k):
 
 
 def test_sweep_rejects_negative_k(summary_20k):
-    with pytest.raises(ValueError):
-        mc.senate_sweep(summary_20k, k_values=(-1,))
+    for ks in ((-1,), (2**64, -1)):   # a huge k beside it does not hide it
+        with pytest.raises(ValueError):
+            mc.senate_sweep(summary_20k, k_values=ks)
     with pytest.raises(ValueError):
         mc._unpopular(summary_20k.cells.sum(axis=(0, 1)), -1)
 
 
 def test_sweep_rejects_non_integer_k(summary_20k, sweep_20k):
     # a k of 2.9 once took the key 2 with its own rate, hiding k = 2's
-    with pytest.raises(TypeError):
-        mc.senate_sweep(summary_20k, k_values=(2, 2.5, 2.9))
+    for ks in ((2, 2.5, 2.9), (2**64, 2.0**64)):
+        with pytest.raises(TypeError):
+            mc.senate_sweep(summary_20k, k_values=ks)
     sweep = mc.senate_sweep(summary_20k, k_values=np.array([0, 2, 10, 100]))
     assert sweep == sweep_20k and [type(k) for k in sweep.by_k] == [int] * 4
 
 
 def test_sweep_at_the_largest_k(summary_20k, sweep_20k):
-    """k = 10**16 - 1, the largest --k-values takes, fits in int64: 51 states never
-    split evenly, so above k = 436 the states carried decide."""
-    k = 10**16 - 1
-    sweep = mc.senate_sweep(summary_20k, k_values=(437, k))
-    assert sweep.by_k == {437: sweep_20k.states_won_limit, k: sweep_20k.states_won_limit}
+    """51 states never split evenly, so above k = 436 the states carried decide:
+    at k = 10**16 - 1, the largest --k-values takes, and at k = 2**62, 10**18
+    and 2**64 too, where 436 + 51 k leaves int64."""
+    ks = (437, 10**16 - 1, 10**17, 2**62, 10**18, 2**64)
+    sweep = mc.senate_sweep(summary_20k, k_values=ks)
+    assert sweep.by_k == dict.fromkeys(ks, sweep_20k.states_won_limit)
 
 
 def test_run_batch_rejects_zero_trials(model, dataset):
@@ -491,6 +494,34 @@ def test_figure_files_at_the_ends_of_each_range():
         assert out.getvalue().decode() == buf.getvalue()
     assert [mc.CODES[c] for c in mc._code(house, states)] == codes.tolist()
     assert mc._diff(block).tolist() == diffs.tolist()
+
+
+def test_field_tables_are_built_once_and_read_only(model, dataset, monkeypatch):
+    """Writing two blocks with one schema builds each distinct (index, fields)
+    table once, and a table is read-only, so no caller can change the text of
+    a later file."""
+    import io
+
+    from elections import csvout
+
+    monkeypatch.setattr(mc, "_BLOCK", 3000)
+    blocks = []
+    mc.run_batch(model, dataset, trials=5000, seed=1, on_block=blocks.append)
+    assert len(blocks) == 2
+    files = [mc.emit_figure_data(block, True) for block in blocks]
+    pairs = [c[1] for f in files for columns in f.values() for c in columns
+             if isinstance(c, tuple)]
+    csvout._fields.cache_clear()
+    for f in files:
+        for columns in f.values():
+            csvout.write_csv(io.BytesIO(), None, columns)
+    info = csvout._fields.cache_info()
+    assert (info.misses, info.hits) == (len(set(pairs)), len(pairs) - len(set(pairs))) == (6, 18)
+    table = csvout._fields(mc.H_FIELDS)
+    with pytest.raises(ValueError):
+        table[:, 0] = ord("9")
+    assert csvout._fields(mc.H_FIELDS) is table
+    assert bytes(table[:, 0]) == b"0\xff\xff"
 
 
 def test_emit_figure_data_errors():
