@@ -138,6 +138,8 @@ def write_csv(f, header: list | None, columns) -> None:
     BAND bytes at a time, and written in one call, translate dropping PAD.
     """
     n = len(columns[0][0] if isinstance(columns[0], tuple) else columns[0]) if len(columns) else 0
+    if len(columns) == 1 and isinstance(columns[0], tuple):   # csv.writer's "" for a lone ""
+        columns = [(columns[0][0], [field or '""' for field in columns[0][1]])]
     columns = [(_fields(tuple(c[1])), c[0]) if isinstance(c, tuple) else c for c in columns]
     if header is not None:
         f.write((",".join(header) + "\n").encode())

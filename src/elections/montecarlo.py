@@ -53,6 +53,7 @@ _H, _S = np.ogrid[:HOUSE_TOTAL + 1, :N_STATES + 1]   # the (H, S) grid of the la
 DEFAULT_BIN_WIDTH = 20
 _CHUNK = 2048   # a (chunk, 51) float64 array fits in a 2 MB L2 cache
 _BLOCK = 32 * _CHUNK   # trials per block: per-block work is rare, a block's rows a few MB
+_AHEAD = 2   # blocks that a thread may draw ahead of the first trial not yet passed on
 _local = threading.local()   # each thread's _scratch buffers
 
 
@@ -266,59 +267,56 @@ def summarize(cells: np.ndarray, trials: int, seed: int, degenerate: dict,
     )
 
 
-def _block(model: PcaModel, dataset: ElectionDataset, seed: int, first: int, last: int,
-           threads: int) -> dict:
-    """The kernel's columns of trials first..last-1, joined in trial order.
-
-    The calling thread and up to `threads - 1` plain threads, never more than
-    there are chunks beyond the first, take chunk starts from one iterator.
-    Every thread is joined before a failed chunk's exception is raised.
-    """
-    chunks = range(first, last, _CHUNK)
-    starts, parts, errors = iter(chunks), {}, {}
-
-    def work():
-        # next() on a range iterator is atomic under the GIL, so no chunk is drawn twice
-        for start in starts:
-            try:
-                parts[start] = trial_columns(model, dataset, seed, start,
-                                             min(_CHUNK, last - start))
-            except BaseException as exc:   # raised below, once every thread is joined
-                errors[start] = exc
-                return
-
-    helpers = [threading.Thread(target=work) for _ in range(min(threads, len(chunks)) - 1)]
-    try:
-        for thread in helpers:
-            thread.start()
-        work()   # the calling thread works too
-    finally:   # a thread whose start failed cannot be joined
-        for thread in filter(threading.Thread.is_alive, helpers):
-            thread.join()
-    if errors:   # the first failed chunk's, as when the chunks ran in order
-        raise errors[min(errors)]
-    return {name: np.concatenate([parts[start][name] for start in chunks])
-            for name in parts[first]}
-
-
 def run_batch(model: PcaModel, dataset: ElectionDataset, trials: int, seed: int,
               threads: int = 1, bin_width: int = DEFAULT_BIN_WIDTH,
               keep_records: bool = False, on_block=None) -> RunSummary:
     """Simulate, tally, and classify `trials` elections, drawing each once.
 
-    Each block of _BLOCK trials is counted into the summary's cells and
-    passed to on_block(block), if given, and then dropped, so on_block sees
-    every classified row once, in trial order.
-    """
+    The calling thread and up to `threads - 1` helpers, started once per run,
+    draw chunks in trial order; none crosses a block's edge or starts _AHEAD
+    blocks or more past the first trial not yet passed on.  As each block of
+    _BLOCK trials is all in, the calling thread counts it into the cells and
+    passes it to on_block(block), if given, so every row once and in order,
+    while the helpers draw on.  A failed chunk's exception is raised once every
+    thread is joined: the blocks before it are passed on, none after it."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     cells, records = np.zeros(CELLS, np.int64), []
     degenerate = {"tied_state": 0, "tied_popular": 0}
+    parts, errors, ready = {}, {}, threading.Condition()   # ready guards pending and passed
+    pending = passed = 0   # the next chunk's start; the first trial not yet passed on
+
+    def work(until):   # draw chunks in order, each once within the look-ahead, until until()
+        nonlocal pending
+        while True:
+            with ready:
+                ready.wait_for(lambda: until() or pending < min(trials, passed + _AHEAD * _BLOCK))
+                if until():
+                    return
+                start = pending   # its chunk ends at the next start, its block's end or the run's
+                pending = end = min(start + _CHUNK, start - start % _BLOCK + _BLOCK, trials)
+            try:
+                parts[start] = trial_columns(model, dataset, seed, start, end - start)
+            except BaseException as exc:   # it ends its block; raised once every thread is joined
+                parts[start] = errors[start] = exc
+            with ready:
+                ready.notify_all()
+
+    helpers = [threading.Thread(target=work, args=(lambda: pending == trials,))
+               for _ in range(min(threads, -(-trials // _CHUNK)) - 1)]
     try:
+        for thread in helpers:
+            thread.start()
         for first in range(0, trials, _BLOCK):
-            block = _block(model, dataset, seed, first, min(first + _BLOCK, trials), threads)
+            chunks = range(first, min(first + _BLOCK, trials), _CHUNK)
+            work(lambda: all(start in parts for start in chunks))
+            if any(start in errors for start in chunks):
+                break
+            columns = [parts.pop(start) for start in chunks]
+            block = {name: np.concatenate([c[name] for c in columns]) for name in columns[0]}
+            del columns   # frees the chunks' arrays before on_block runs
             cells += _count(block)
             for name in degenerate:
                 degenerate[name] += len(block[name])
@@ -326,8 +324,18 @@ def run_batch(model: PcaModel, dataset: ElectionDataset, trials: int, seed: int,
                 records += _records(block)
             if on_block is not None:
                 on_block(block)
+            with ready:
+                passed = chunks.stop
+                ready.notify_all()
     finally:
+        with ready:   # no chunk is left: each helper ends once its chunk in hand is drawn
+            pending = trials
+            ready.notify_all()
+        for thread in filter(threading.Thread.is_alive, helpers):   # a failed start cannot join
+            thread.join()
         vars(_local).clear()   # the calling thread's _scratch buffers
+    if errors:   # the first failed chunk's, as when the chunks ran in order
+        raise errors[min(errors)]
     return summarize(cells, trials, seed, degenerate, bin_width,
                      tuple(records) if keep_records else None)
 

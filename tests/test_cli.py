@@ -6,7 +6,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from elections.cli import BINS_LIMIT, K_LIMIT, THREADS_LIMIT, TRIALS_LIMIT, build_parser, main
 from elections.csvout import SLICE_ROWS, write_csv
@@ -408,6 +408,8 @@ COLUMN_VALUES = st.one_of(
                                        max_size=6)),
     st.tuples(st.just("float"), st.lists(FLOATS, min_size=1, max_size=6)),
 )
+# one column with "" among its fields: csv.writer writes a lone empty field as ""
+ONE_COLUMN_WITH_EMPTY = st.lists(FIELDS, max_size=5).map(lambda fields: [("pair", ["", *fields])])
 
 
 def _table(specs, n, seed):
@@ -438,7 +440,9 @@ def _check_write_csv(specs, n, seed):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 50])
 @settings(max_examples=40, deadline=None)
-@given(st.lists(COLUMN_VALUES, min_size=1, max_size=5), st.integers(0, 2**32))
+@given(st.lists(COLUMN_VALUES, min_size=1, max_size=5) | ONE_COLUMN_WITH_EMPTY,
+       st.integers(0, 2**32))
+@example([("pair", [""])], 0)
 def test_write_csv_matches_csv_writer(n, specs, seed):
     from unittest import mock
 

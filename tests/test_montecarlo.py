@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -206,6 +207,29 @@ def test_failed_chunk_raises_once_every_thread_is_joined(model, dataset, monkeyp
     assert threading.enumerate() == threads
 
 
+def _small_blocks(monkeypatch):
+    """Blocks of 4 chunks of 64 trials, so a run of a few blocks is quick."""
+    monkeypatch.setattr(mc, "_CHUNK", 64)
+    monkeypatch.setattr(mc, "_BLOCK", 4 * 64)
+
+
+def test_the_first_failed_chunk_is_raised_though_it_fails_last(model, dataset, monkeypatch):
+    _small_blocks(monkeypatch)
+    kernel = mc.trial_columns
+
+    def columns(model, dataset, seed, start, count):
+        if start == mc._CHUNK:
+            time.sleep(0.1)   # fails after the chunk behind it
+            raise MemoryError("chunk 1")
+        if start == 2 * mc._CHUNK:
+            raise MemoryError("chunk 2")
+        return kernel(model, dataset, seed, start, count)
+
+    monkeypatch.setattr(mc, "trial_columns", columns)
+    with pytest.raises(MemoryError, match="chunk 1"):
+        mc.run_batch(model, dataset, trials=3 * mc._BLOCK, seed=1, threads=3)
+
+
 def test_every_chunk_is_drawn_once_under_fast_switching(model, dataset, monkeypatch):
     kernel, starts = mc.trial_columns, []
 
@@ -216,14 +240,17 @@ def test_every_chunk_is_drawn_once_under_fast_switching(model, dataset, monkeypa
     serial = mc.run_batch(model, dataset, trials=1500, seed=5, threads=1)
     monkeypatch.setattr(mc, "_CHUNK", 1)
     monkeypatch.setattr(mc, "trial_columns", columns)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        parallel = mc.run_batch(model, dataset, trials=1500, seed=5, threads=16)
-    finally:
-        sys.setswitchinterval(interval)
-    assert sorted(starts) == list(range(1500))
-    assert parallel.to_json() == serial.to_json()
+    for block in (mc._BLOCK, 100):   # one block, then 15 handed on in turn
+        monkeypatch.setattr(mc, "_BLOCK", block)
+        starts.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = mc.run_batch(model, dataset, trials=1500, seed=5, threads=16)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(starts) == list(range(1500))
+        assert parallel.to_json() == serial.to_json()
 
 
 def test_run_batch_rejects_zero_threads(model, dataset):
@@ -247,6 +274,135 @@ def test_threads_beyond_the_chunks_are_not_started(model, dataset, monkeypatch):
     caller = threading.active_count()
     mc.run_batch(model, dataset, trials=100, seed=0, threads=200)
     assert counts and max(counts) <= caller + 1 and len(started) <= 1
+
+
+def test_helpers_start_once_per_run_and_keep_their_buffers(model, dataset, monkeypatch):
+    """A 5-block run at threads=3, the last block partial, starts two helper
+    threads, and each draws all its chunks, across blocks, into the same
+    _scratch buffers."""
+    _small_blocks(monkeypatch)
+    kernel, start, started, draws = mc.trial_columns, threading.Thread.start, [], []
+
+    def columns(model, dataset, seed, first, count):
+        out = kernel(model, dataset, seed, first, count)
+        draws.append((threading.current_thread(), mc._local.shares, first // mc._BLOCK))
+        time.sleep(0.002)   # every thread gets chunks
+        return out
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(mc, "trial_columns", columns)
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    serial = mc.run_batch(model, dataset, trials=5 * mc._BLOCK - 100, seed=2, threads=1)
+    assert started == []
+    parallel = mc.run_batch(model, dataset, trials=5 * mc._BLOCK - 100, seed=2, threads=3)
+    assert len(started) == 2 and parallel.to_json() == serial.to_json()
+    helper_draws = [d for d in draws if d[0] in started]
+    assert len({block for _, _, block in helper_draws}) > 1
+    for thread in started:   # the buffers are held in draws, so no id is reused
+        assert len({id(buf) for t, buf, _ in helper_draws if t is thread}) <= 1
+
+
+def test_on_block_holds_the_threads_at_the_look_ahead(model, dataset, monkeypatch):
+    """While on_block waits on block 1, the threads draw every chunk that
+    starts less than _AHEAD blocks past it, and none beyond."""
+    _small_blocks(monkeypatch)
+    kernel, drawn, passed = mc.trial_columns, [], []
+    bound = mc._BLOCK + mc._AHEAD * mc._BLOCK
+
+    def columns(model, dataset, seed, start, count):
+        drawn.append(start)
+        return kernel(model, dataset, seed, start, count)
+
+    def on_block(block):
+        if len(passed) == 1:
+            deadline = time.monotonic() + 10
+            while len(drawn) < bound // mc._CHUNK and time.monotonic() < deadline:
+                time.sleep(0.001)
+            time.sleep(0.05)   # time enough for a thread to overshoot
+            passed.append(sorted(drawn))
+        passed.append(block)
+
+    monkeypatch.setattr(mc, "trial_columns", columns)
+    mc.run_batch(model, dataset, trials=6 * mc._BLOCK, seed=2, threads=3, on_block=on_block)
+    assert passed[1] == list(range(0, bound, mc._CHUNK))
+    assert sorted(drawn) == list(range(0, 6 * mc._BLOCK, mc._CHUNK))
+
+
+def test_the_calling_thread_keeps_to_the_look_ahead(model, dataset, monkeypatch):
+    """With a slow helper, the calling thread runs ahead, but no chunk it
+    takes starts _AHEAD blocks or more past the first trial not passed on."""
+    _small_blocks(monkeypatch)
+    kernel, passed, ahead = mc.trial_columns, [], []
+
+    def columns(model, dataset, seed, start, count):
+        # on_block appends as it returns, before run_batch moves the bound on
+        ahead.append(start - len(passed) * mc._BLOCK)
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.01)
+        return kernel(model, dataset, seed, start, count)
+
+    monkeypatch.setattr(mc, "trial_columns", columns)
+    mc.run_batch(model, dataset, trials=8 * mc._BLOCK, seed=2, threads=2,
+                 on_block=passed.append)
+    assert len(passed) == 8
+    assert max(ahead) < mc._AHEAD * mc._BLOCK
+    assert max(ahead) >= mc._BLOCK   # the calling thread did draw ahead
+
+
+def test_a_failed_on_block_stops_the_run(model, dataset, monkeypatch):
+    """An OSError from on_block at block 1 propagates, no later block is
+    passed on, and every helper thread is joined."""
+    _small_blocks(monkeypatch)
+    threads, passed = threading.enumerate(), []
+
+    def on_block(block):
+        passed.append(block)
+        if len(passed) == 2:
+            raise OSError(28, "No space left on device")
+
+    with pytest.raises(OSError, match="No space"):
+        mc.run_batch(model, dataset, trials=5 * mc._BLOCK, seed=2, threads=3, on_block=on_block)
+    assert len(passed) == 2
+    assert threading.enumerate() == threads
+
+
+def test_a_chunk_failing_during_on_block_raises_after_it(model, dataset, monkeypatch):
+    """A helper's chunk of block 2 that fails while on_block(block 1) runs
+    raises once that call has returned, and block 2 is not passed on."""
+    _small_blocks(monkeypatch)
+    kernel, threads, events = mc.trial_columns, threading.enumerate(), []
+    landed, in_block_1, failed = set(), threading.Event(), threading.Event()
+
+    def columns(model, dataset, seed, start, count):
+        if start == 2 * mc._BLOCK:
+            events.append(("failed while on_block(1) ran", in_block_1.wait(10)))
+            failed.set()
+            raise MemoryError("Unable to allocate a chunk of block 2")
+        out = kernel(model, dataset, seed, start, count)
+        landed.add(start)
+        return out
+
+    def on_block(block):
+        n = sum(event[0] == "returned" for event in events)
+        if n == 0:   # block 1 is all drawn, so the calling thread takes no chunk of block 2
+            deadline = time.monotonic() + 10
+            while not landed >= set(range(mc._BLOCK, 2 * mc._BLOCK, mc._CHUNK)):
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            time.sleep(0.02)
+        if n == 1:
+            in_block_1.set()
+            assert failed.wait(10)
+        events.append(("returned", n))
+
+    monkeypatch.setattr(mc, "trial_columns", columns)
+    with pytest.raises(MemoryError, match="block 2"):
+        mc.run_batch(model, dataset, trials=5 * mc._BLOCK, seed=2, threads=3, on_block=on_block)
+    assert events == [("returned", 0), ("failed while on_block(1) ran", True), ("returned", 1)]
+    assert threading.enumerate() == threads
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity API")
