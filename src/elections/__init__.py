@@ -29,7 +29,6 @@ from .montecarlo import (
 )
 from .pca import (
     PcaModel,
-    center,
     covariance,
     fit_pca,
     loadings_report,
@@ -44,6 +43,6 @@ __all__ = [
     "two_party_share", "SimulatedShares",
     "draw_noise", "generate_shares", "OutcomeRecord", "RunSummary",
     "SweepResult", "classify", "emit_figure_data", "run_batch", "senate_sweep",
-    "PcaModel", "center", "covariance", "fit_pca", "loadings_report",
+    "PcaModel", "covariance", "fit_pca", "loadings_report",
     "variance_explained", "TallyResult", "electoral_totals", "pool", "__version__",
 ]

@@ -24,6 +24,7 @@ from . import pca as pc
 from .csvout import write_csv
 from .generator import SEED_LIMIT
 from .scenarios import format_scenarios, run_all_scenarios
+from .tally import FULL, HOUSE_ONLY
 
 MIN_ELECTIONS = 3
 WARN_ELECTIONS = 8
@@ -107,6 +108,7 @@ def cmd_simulate(args, parser) -> int:
         return 1
     # staged files replace the outputs only once all are written: a failed run changes nothing
     staged = {name: out_dir / f".{name}.{os.getpid()}.tmp" for name in names}
+    aside = out_dir / f".aside.{os.getpid()}.tmp"
     try:
         try:
             with contextlib.ExitStack() as stack:
@@ -136,10 +138,21 @@ def cmd_simulate(args, parser) -> int:
               f"states_won={sweep.states_won_limit:.4f} "
               f"dem_win_rate={summary.dem_win_rate:.4f}")
         print(f"outputs in {out_dir}")
-        sys.stdout.flush()   # a stdout that fails is main's error, raised before any replace
+        sys.stdout.flush()   # a stdout that fails is main's error, raised before any rename
+        # no rename lands on a file: on ext4 one onto a file that an earlier rename
+        # installed waits for that file's writeback, about 60 ms a file
         try:
             for name, path in staged.items():
-                os.replace(path, out_dir / name)
+                if held := os.path.lexists(target := out_dir / name):
+                    os.rename(target, aside)
+                try:
+                    os.rename(path, target)
+                except OSError:   # the old file takes its name back
+                    if held:
+                        os.rename(aside, target)
+                    raise
+                if held:
+                    os.unlink(aside)
         except OSError as exc:
             return _failed(f"cannot write to {out_dir}", exc)
     finally:
@@ -154,11 +167,9 @@ def cmd_scenario(args, parser) -> int:
     expected = {"LW": (253, 247, 5, 6, 3, 2),
                 "LL": (261, 239, 3, 8, 1, 4),
                 "WL": (253, 247, 6, 5, 2, 3)}
-    for code, (pa, pb, fa, fb, ha, hb) in expected.items():
-        r = results[code]
-        got = (round(r.tally.dem_pop), round(r.tally.rep_pop),
-               r.full_a, r.full_b, r.house_a, r.house_b)
-        status = "ok" if got == (pa, pb, fa, fb, ha, hb) else "MISMATCH"
+    for code, r in results.items():
+        got = (round(r.dem_pop), round(r.rep_pop), *r.totals(FULL), *r.totals(HOUSE_ONLY))
+        status = "ok" if got == expected[code] else "MISMATCH"
         print(f"{code}: popular {got[0]}-{got[1]}, full {got[2]}-{got[3]}, "
               f"house {got[4]}-{got[5]}  [{status}]")
         if status == "MISMATCH":
@@ -264,7 +275,7 @@ def main(argv=None) -> int:
         status = args.func(args, parser)
         sys.stdout.flush()
         return status
-    except (ds.DatasetError, pc.PcaError, mc.MonteCarloError, MemoryError) as exc:
+    except (ds.DatasetError, pc.PcaError, MemoryError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:   # stdout's: each command catches its own files' errors

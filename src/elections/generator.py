@@ -23,11 +23,7 @@ import numpy as np
 from .pca import PcaModel
 
 
-class GeneratorError(Exception):
-    pass
-
-
-class DimensionMismatch(GeneratorError):
+class DimensionMismatch(Exception):
     """Noise length does not match the model's eigenpair count."""
 
 

@@ -47,15 +47,6 @@ class PcaModel(NamedTuple):
         return len(self.eigenvalues)
 
 
-def center(dataset) -> np.ndarray:
-    """The (n, n_states) deviations of each state's share from its mean across elections.
-
-    Accepts an ElectionDataset or a bare (n, n_states) share matrix.
-    """
-    shares = np.asarray(getattr(dataset, "shares", dataset), dtype=float)
-    return shares - shares.mean(axis=0)
-
-
 def covariance(devs: np.ndarray) -> np.ndarray:
     """Sample covariance (devs' devs) / (n - 1) of n deviation rows."""
     n = len(devs)

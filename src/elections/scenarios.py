@@ -8,8 +8,6 @@ result with House+Senate electors, then with House electors alone.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .tally import FULL, HOUSE_ONLY, TallyResult, electoral_totals
@@ -30,41 +28,28 @@ SCENARIO_TITLES = {
 }
 
 
-class ScenarioResult(NamedTuple):
-    code: str
-    shares: tuple[float, ...]
-    tally: TallyResult
-    full_a: int
-    full_b: int
-    house_a: int
-    house_b: int
+def run_scenario(code: str) -> TallyResult:
+    return electoral_totals(SCENARIO_SHARES[code], TOY_TURNOUT, TOY_HOUSE)
 
 
-def run_scenario(code: str) -> ScenarioResult:
-    shares = np.array(SCENARIO_SHARES[code])
-    tally = electoral_totals(shares, TOY_TURNOUT, TOY_HOUSE)
-    return ScenarioResult(code, tuple(shares), tally,
-                          *tally.totals(FULL), *tally.totals(HOUSE_ONLY))
-
-
-def run_all_scenarios() -> dict[str, ScenarioResult]:
+def run_all_scenarios() -> dict[str, TallyResult]:
     return {code: run_scenario(code) for code in SCENARIO_SHARES}
 
 
-def format_scenarios(results: dict[str, ScenarioResult]) -> str:
+def _row(label: str, tally: TallyResult) -> str:
+    (full_a, full_b), (house_a, house_b) = tally.totals(FULL), tally.totals(HOUSE_ONLY)
+    return (f"{label}{tally.dem_pop:5.0f}  {tally.rep_pop:5.0f}"
+            f"   {full_a:5d}  {full_b:5d}   {house_a:3d}  {house_b:3d}")
+
+
+def format_scenarios(results: dict[str, TallyResult]) -> str:
     lines = []
-    for code, res in results.items():
+    for code, tally in results.items():
         lines.append(f"{code}, {SCENARIO_TITLES[code]}")
         lines.append("state  A%    pop A  pop B   H+S A  H+S B   H A  H B")
-        for s, share in enumerate(res.shares):
+        for s, share in enumerate(SCENARIO_SHARES[code]):
             # each row is the tally of that state alone
             state = electoral_totals([share], TOY_TURNOUT[s:s + 1], TOY_HOUSE[s:s + 1])
-            hs_a, hs_b = state.totals(FULL)
-            h_a, h_b = state.totals(HOUSE_ONLY)
-            lines.append(f"{s + 1:>5}  {share:.0%}  {state.dem_pop:5.0f}  {state.rep_pop:5.0f}"
-                         f"   {hs_a:5d}  {hs_b:5d}   {h_a:3d}  {h_b:3d}")
-        lines.append(f"total        {res.tally.dem_pop:5.0f}  {res.tally.rep_pop:5.0f}"
-                     f"   {res.full_a:5d}  {res.full_b:5d}"
-                     f"   {res.house_a:3d}  {res.house_b:3d}")
-        lines.append("")
+            lines.append(_row(f"{s + 1:>5}  {share:.0%}  ", state))
+        lines += [_row("total        ", tally), ""]
     return "\n".join(lines)

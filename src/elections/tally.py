@@ -19,11 +19,7 @@ DEM = "D"
 REP = "R"
 
 
-class TallyError(Exception):
-    pass
-
-
-class TiedState(TallyError):
+class TiedState(Exception):
     """A state's share is exactly 0.5; winner-take-all is undefined."""
 
 
@@ -76,7 +72,7 @@ def electoral_totals(clamped, turnout, house_electors,
     if len(tied):
         raise TiedState(f"exact 0.5 share in state index {int(tied[0])}")
     dem_won = clamped > 0.5
-    dem_pop = float(clamped @ turnout)
+    dem_pop = float((clamped * turnout).sum())   # the kernel's row-wise sum, to the bit
     return TallyResult(
         dem_pop=dem_pop,
         rep_pop=float(turnout.sum() - dem_pop),

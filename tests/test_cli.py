@@ -739,6 +739,63 @@ def test_failure_after_a_block_leaves_previous_outputs(tmp_path, capsys, monkeyp
     assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
 
 
+def _renames_onto_nothing(monkeypatch, fail=None):
+    """Patch os.rename and os.replace so that a call whose target path exists
+    fails the test, and a rename of a path whose name ends in `fail` raises."""
+    import os
+
+    rename, calls = os.rename, []
+
+    def checked(src, dst):
+        assert not os.path.lexists(dst), f"rename onto the existing {dst}"
+        calls.append((str(src), str(dst)))
+        if fail is not None and str(src).endswith(fail):
+            raise OSError(5, "Input/output error")
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", checked)
+    monkeypatch.setattr(os, "replace", checked)
+    return calls
+
+
+def test_rerun_into_one_out_renames_onto_nothing(tmp_path, capsys, monkeypatch):
+    """Reruns into an --out that holds the last run's files install every file
+    on a free name: the old one is renamed aside and unlinked.  The files equal
+    a fresh run's, and no dot-file is left."""
+    argv = ["simulate", "--trials", "3000", "--emit-trials", "--out"]
+    assert run([*argv, str(tmp_path / "fresh"), "--seed", "6"], capsys)[0] == 0
+    fresh = _files(tmp_path / "fresh")
+    out = tmp_path / "o"
+    assert run([*argv, str(out), "--seed", "5"], capsys)[0] == 0
+    calls = _renames_onto_nothing(monkeypatch)
+    for _ in range(2):
+        assert run([*argv, str(out), "--seed", "6"], capsys)[0] == 0
+        assert _files(out) == fresh
+    assert len(calls) == 2 * 2 * len(fresh)   # each file: the old one aside, the new one in
+
+
+def test_failed_install_puts_the_old_file_back(tmp_path, capsys, monkeypatch):
+    """A rename that fails to install trials.csv, after the old trials.csv was
+    renamed aside, exits 1 with one stderr line and renames the old file back:
+    each name holds its old or its new file, trials.csv its old one, and no
+    dot-file is left."""
+    import os
+
+    argv = ["simulate", "--trials", "3000", "--emit-trials", "--out"]
+    assert run([*argv, str(tmp_path / "fresh"), "--seed", "6"], capsys)[0] == 0
+    new = _files(tmp_path / "fresh")
+    out = tmp_path / "o"
+    assert run([*argv, str(out), "--seed", "5"], capsys)[0] == 0
+    old = _files(out)
+    _renames_onto_nothing(monkeypatch, fail=f".trials.csv.{os.getpid()}.tmp")
+    code, _, err = run([*argv, str(out), "--seed", "6"], capsys)
+    assert code == 1 and len(err.splitlines()) == 1
+    assert f"cannot write to {out}: OSError: [Errno 5]" in err
+    after = _files(out)
+    assert after.keys() == old.keys() and after["trials.csv"] == old["trials.csv"]
+    assert all(after[name] in (old[name], new[name]) for name in after)
+
+
 def test_bytes_depend_on_the_simd_dispatch_only_in_the_popular_votes(tmp_path):
     """With numpy's AVX-512 loops turned off, its float64 log rounds a few
     uniforms differently, so a few trials.csv rows differ in the last digits

@@ -54,7 +54,7 @@ def run_blocks(*args, **kwargs):
 
 def test_classify_scenarios():
     for code in ("LW", "LL", "WL"):
-        rec = mc.classify(scenarios.run_scenario(code).tally)
+        rec = mc.classify(scenarios.run_scenario(code))
         assert rec.code == code
         assert rec.popular_winner == DEM
 
@@ -124,6 +124,20 @@ def test_records_match_per_trial_pipeline(model, dataset, summary_20k):
         shares = generate_shares(model, z).clamped
         t = electoral_totals(shares, dataset.turnout, dataset.house_electors)
         assert mc.classify(t, trial=trial) == by_trial[trial]
+
+
+def test_scalar_dem_pop_is_the_kernels_to_the_bit(model, dataset):
+    """electoral_totals, fed one chunk's clamped shares, gives every row the
+    kernel's dem_pop exactly: both are the row's sum of share times turnout,
+    where a dot product rounds some rows differently."""
+    from elections.generator import draw_noise_batch, generate_shares_batch
+
+    z = draw_noise_batch(0, 0, mc._CHUNK, model.n_components)
+    clamped = np.clip(generate_shares_batch(model, z), 0.0, 1.0)
+    columns = mc.trial_columns(model, dataset, 0, 0, mc._CHUNK)
+    scalar = [electoral_totals(clamped[t], dataset.turnout, dataset.house_electors).dem_pop
+              for t in columns["trial"]]
+    assert scalar == columns["dem_pop"].tolist()
 
 
 def _with_chunk(monkeypatch, chunk, *args, **kwargs):

@@ -7,15 +7,15 @@ from elections.dataset import STATE_INDEX, STATE_NAMES
 
 def test_center_toy():
     toy = np.array([[0.4, 0.6], [0.6, 0.8]])
-    assert np.allclose(pca.center(toy), [[-0.1, -0.1], [0.1, 0.1]])
     model = pca.fit_pca(toy)
     assert np.allclose(model.mean, [0.5, 0.7])
+    assert np.allclose(toy - model.mean, [[-0.1, -0.1], [0.1, 0.1]])
     assert model.n == 2
 
 
 def test_covariance_toy():
-    dm = pca.center(np.array([[0.4, 0.6], [0.6, 0.8]]))
-    cov = pca.covariance(dm)
+    toy = np.array([[0.4, 0.6], [0.6, 0.8]])
+    cov = pca.covariance(toy - toy.mean(axis=0))
     assert np.allclose(cov, [[0.02, 0.02], [0.02, 0.02]])
 
 
@@ -27,15 +27,15 @@ def test_fit_toy_eigenpair():
 
 
 def test_covariance_degenerate():
-    dm = pca.center(np.array([[0.4, 0.6]]))
+    one = np.array([[0.4, 0.6]])
     with pytest.raises(pca.DegenerateSample):
-        pca.covariance(dm)
+        pca.covariance(one - one.mean(axis=0))
     with pytest.raises(pca.DegenerateSample):  # no variance at all
         pca.fit_pca(np.full((12, 51), 0.5))
 
 
-def test_centering_columns_sum_to_zero(dataset):
-    devs = pca.center(dataset)
+def test_centering_columns_sum_to_zero(dataset, model):
+    devs = dataset.shares - model.mean
     assert devs.shape == dataset.shares.shape
     assert np.allclose(devs.sum(axis=0), 0.0, atol=1e-12)
 
@@ -49,7 +49,7 @@ def test_bundled_model_rank_and_order(model):
 
 
 def test_bundled_model_numerics(model, dataset):
-    cov = pca.covariance(pca.center(dataset))
+    cov = pca.covariance(dataset.shares - model.mean)
     lam1 = model.eigenvalues[0]
     for lam, vec in zip(model.eigenvalues, model.eigenvectors):
         assert np.max(np.abs(cov @ vec - lam * vec)) <= 1e-10 * lam1
@@ -59,7 +59,7 @@ def test_bundled_model_numerics(model, dataset):
 
 
 def test_reconstruction_oracle(model, dataset):
-    cov = pca.covariance(pca.center(dataset))
+    cov = pca.covariance(dataset.shares - model.mean)
     recon = (model.eigenvectors.T * model.eigenvalues) @ model.eigenvectors
     assert np.max(np.abs(recon - cov)) <= 1e-12
 
@@ -180,6 +180,6 @@ def test_random_matrix_reconstruction():
     for _ in range(10):
         data = rng.uniform(0.2, 0.8, size=(12, 51))
         model = pca.fit_pca(data)
-        cov = pca.covariance(pca.center(data))
+        cov = pca.covariance(data - data.mean(axis=0))
         recon = (model.eigenvectors.T * model.eigenvalues) @ model.eigenvectors
         assert np.max(np.abs(recon - cov)) <= 1e-10
