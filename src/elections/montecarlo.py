@@ -68,7 +68,6 @@ class OutcomeRecord(NamedTuple):
     trial: int
     code: str
     popular_winner: str
-    electoral_winner_full: str | None
     signed_electoral_diff: int        # Democratic full electors - Republican
     popular_winner_H: int
     popular_winner_S: int
@@ -94,7 +93,6 @@ def classify(tally: TallyResult, trial: int = 0) -> OutcomeRecord:
         trial=trial,
         code=code,
         popular_winner=pw,
-        electoral_winner_full=DEM if diff > 0 else REP if diff < 0 else None,
         signed_electoral_diff=diff,
         popular_winner_H=house[side],
         popular_winner_S=full[side] - house[side],
@@ -231,7 +229,7 @@ class RunSummary(NamedTuple):
 
 
 def summarize(cells: np.ndarray, trials: int, seed: int, degenerate: dict,
-              bin_width: int = DEFAULT_BIN_WIDTH, records: tuple | None = None) -> RunSummary:
+              bin_width: int = DEFAULT_BIN_WIDTH) -> RunSummary:
     """Counters and frequencies of the trials counted in cells, each a sum
     over them; degenerate counts the trials that have no cell."""
     by_party = cells.sum(axis=1)   # [party, H, S]
@@ -259,7 +257,6 @@ def summarize(cells: np.ndarray, trials: int, seed: int, degenerate: dict,
         degenerate=degenerate,
         exact_full_splits=int(hs[full == 0].sum()),
         exact_house_splits=int(hs[_margin(HOUSE_ONLY) == 0].sum()),
-        records=records,
         cells=cells,
     )
 
@@ -333,8 +330,8 @@ def run_batch(model: PcaModel, dataset: ElectionDataset, trials: int, seed: int,
         vars(_local).clear()   # the calling thread's _scratch buffers
     if errors:   # the first failed chunk's, as when the chunks ran in order
         raise errors[min(errors)]
-    return summarize(cells, trials, seed, degenerate, bin_width,
-                     tuple(records) if keep_records else None)
+    summary = summarize(cells, trials, seed, degenerate, bin_width)
+    return summary._replace(records=tuple(records)) if keep_records else summary
 
 
 class SweepResult(NamedTuple):
@@ -370,7 +367,6 @@ def _records(block: dict) -> list:
     house, states = block["pw_house"], block["pw_states"]
     return [
         OutcomeRecord(trial=t, code=CODES[c], popular_winner=DEM if dem else REP,
-                      electoral_winner_full=DEM if d > 0 else REP if d < 0 else None,
                       signed_electoral_diff=d, popular_winner_H=h,
                       popular_winner_S=FULL * s, carried_california=ca)
         for t, c, dem, d, h, s, ca in zip(*(column.tolist() for column in (

@@ -17,15 +17,11 @@ from .dataset import STATE_NAMES
 ZERO_CUTOFF = 1e-10
 
 
-class PcaError(Exception):
-    pass
-
-
-class DegenerateSample(PcaError):
+class DegenerateSample(Exception):
     """Fewer than two observations, or no variance: no model exists."""
 
 
-class IndexOutOfRange(PcaError, IndexError):
+class IndexOutOfRange(IndexError):
     """Component index outside 1..n_components."""
 
 

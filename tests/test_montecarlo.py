@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import sys
 import threading
@@ -5,13 +7,16 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from elections import montecarlo as mc
-from elections import scenarios
+from elections.csvout import write_csv
+from elections.dataset import HOUSE_TOTAL, N_STATES, STATE_NAMES, ElectionDataset
 from elections.generator import draw_noise, generate_shares
-from elections.tally import (DEM, FULL, HOUSE_ONLY, REP, STATES_WON, TallyResult,
-                             electoral_totals, pool)
+from elections.tally import (DEM, FULL, HOUSE_ONLY, REP, STATES_WON, TOY_HOUSE, TOY_TURNOUT,
+                             TallyResult, electoral_totals, pool, run_scenario)
+
+import reference
 
 
 def make_tally(dem_house, dem_states, dem_pop=6.0e7, rep_pop=5.9e7,
@@ -54,16 +59,16 @@ def run_blocks(*args, **kwargs):
 
 def test_classify_scenarios():
     for code in ("LW", "LL", "WL"):
-        rec = mc.classify(scenarios.run_scenario(code))
+        rec = mc.classify(run_scenario(code))
         assert rec.code == code
         assert rec.popular_winner == DEM
 
 
 def test_classify_sweep_is_ww():
-    t = electoral_totals([0.9] * 3, scenarios.TOY_TURNOUT, scenarios.TOY_HOUSE)
+    t = electoral_totals([0.9] * 3, TOY_TURNOUT, TOY_HOUSE)
     rec = mc.classify(t)
     assert rec.code == "WW"
-    assert rec.electoral_winner_full == DEM
+    assert rec.signed_electoral_diff > 0
     assert rec.carried_california is None  # not a 51-state tally
 
 
@@ -76,7 +81,6 @@ def test_classify_close_2000_style():
     assert rec.trial == 9
     assert (rec.popular_winner_H, rec.popular_winner_S) == (225, 42)
     assert rec.signed_electoral_diff == 2 * 267 - 538 == -4
-    assert rec.electoral_winner_full == REP
     assert rec.carried_california is True  # CA is index 4, inside the D block
 
 
@@ -84,7 +88,6 @@ def test_classify_exact_splits_count_as_l():
     t = make_tally(dem_house=219, dem_states=25)  # full pool splits 269-269
     rec = mc.classify(t)
     assert rec.code == "LW"
-    assert rec.electoral_winner_full is None
     assert rec.signed_electoral_diff == 0
     t2 = make_tally(dem_house=218, dem_states=25)  # house 218-218, full 268-270
     rec2 = mc.classify(t2)
@@ -118,12 +121,22 @@ def test_run_batch_counts_consistent(summary_20k):
 
 
 def test_records_match_per_trial_pipeline(model, dataset, summary_20k):
+    """The records equal the scalar path's, called by the names and keywords
+    that perfbench/checks.py's oracle_check uses."""
+    from elections import classify, draw_noise, electoral_totals, generate_shares
+    from elections.montecarlo import ExactPopularTie
+    from elections.tally import TiedState
+
     by_trial = {r.trial: r for r in summary_20k.records}
     for trial in list(range(50)) + [4096, 11111, 19999]:
-        z = draw_noise(0, trial, model.n_components)
-        shares = generate_shares(model, z).clamped
-        t = electoral_totals(shares, dataset.turnout, dataset.house_electors)
-        assert mc.classify(t, trial=trial) == by_trial[trial]
+        shares = generate_shares(model, draw_noise(0, trial, model.n_components))
+        try:
+            t = electoral_totals(shares.clamped, dataset.turnout, dataset.house_electors,
+                                 senate_per_state=dataset.senate_electors_base)
+            record = classify(t, trial=trial)
+        except (TiedState, ExactPopularTie):
+            record = None
+        assert record is not None and record == by_trial.get(trial)
 
 
 def test_scalar_dem_pop_is_the_kernels_to_the_bit(model, dataset):
@@ -549,6 +562,81 @@ def test_kernel_drops_degenerate_trials(model, dataset, monkeypatch):
     assert s.degenerate == {"tied_state": 3, "tied_popular": 0}
     for name in ("pw_dem", "pw_house", "pw_states", "carried_ca", "dem_pop", "rep_pop"):
         assert np.array_equal(block[name], clean[name][block["trial"]]), name
+
+
+def _raw_shares(rng, rows, coin, half):
+    """A raw share matrix for the kernel to clamp: cells spread around 0.5 and
+    past both ends, or with coin cells of -0.25, 0, 1 and 1.25 only, which
+    small turnouts can split exactly; 2% of cells set to 0.0 or 1.0, and the
+    share `half` of them to exactly 0.5."""
+    if coin:
+        m = rng.choice([-0.25, 0.0, 1.0, 1.25], size=(rows, N_STATES))
+    else:
+        m = rng.normal(0.5, 0.3, (rows, N_STATES))
+    u = rng.random((rows, N_STATES))
+    m[u < 0.02] = rng.choice([0.0, 1.0], size=int((u < 0.02).sum()))
+    m[u > 1 - half] = 0.5
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       sizes=st.lists(st.sampled_from([1, 2]) | st.integers(1, 299), min_size=1, max_size=4),
+       coin=st.booleans(), bundled=st.booleans(), half=st.sampled_from([0.0, 0.005, 0.02]))
+@example(seed=2, sizes=[1, 299, 1], coin=True, bundled=False, half=0.005)   # 14 popular ties
+@example(seed=0, sizes=[2, 1, 299], coin=False, bundled=True, half=0.02)
+def test_kernel_matches_the_reference(model, dataset, seed, sizes, coin, bundled, half):
+    """Every trial_columns column, and every trials.csv field, equals the
+    per-state loop of tests/reference.py, row by row, on drawn share matrices
+    fed to the kernel in chunks of 1 to 299 rows, on the bundled turnouts and
+    House electors or on drawn ones."""
+    rng = np.random.default_rng(seed)
+    if not bundled:   # small turnouts make exact popular splits common
+        house = 1 + rng.multinomial(HOUSE_TOTAL - N_STATES, np.full(N_STATES, 1 / N_STATES))
+        dataset = ElectionDataset(dataset.years, dataset.shares,
+                                  rng.integers(1, 4, N_STATES), house)
+    matrices = [_raw_shares(rng, rows, coin, half) for rows in sizes]
+    starts = np.cumsum([7, *sizes[:-1]]).tolist()   # the chunks of one run, from trial 7 on
+
+    def drawn(model, z, out=None):   # the share draw of the chunk after the last one kept
+        out[:] = matrices[len(chunks)]
+        return out
+
+    chunks = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mc, "generate_shares_batch", drawn)
+        for start, count in zip(starts, sizes):
+            chunks.append(mc.trial_columns(model, dataset, seed, start, count))
+    block = {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
+
+    california = STATE_NAMES.index("California")
+    expected = {"tied_state": [], "tied_popular": [], "trial": [], "outcome": []}
+    for start, m in zip(starts, matrices):
+        for i, raw in enumerate(m.tolist()):
+            row = [min(max(share, 0.0), 1.0) for share in raw]
+            ref = reference.tally_row(row, dataset.turnout, dataset.house_electors, california)
+            if isinstance(ref, str):
+                expected[ref].append(start + i)
+            else:
+                expected["trial"].append(start + i)
+                expected["outcome"].append(ref)
+    outcomes = expected.pop("outcome")
+    for name, trials in expected.items():
+        assert block[name].tolist() == trials, name
+    for name, field in (("pw_dem", "dem"), ("pw_house", "house"), ("pw_states", "states"),
+                        ("carried_ca", "carried_ca"), ("dem_pop", "dem_pop"),
+                        ("rep_pop", "rep_pop")):
+        assert block[name].tolist() == [getattr(r, field) for r in outcomes], name
+
+    text = io.BytesIO()
+    write_csv(text, mc.FIGURES["trials.csv"], mc.emit_figure_data(block, True)["trials.csv"])
+    rows = list(csv.reader(io.StringIO(text.getvalue().decode())))
+    assert rows[0] == mc.FIGURES["trials.csv"]
+    assert rows[1:] == [
+        [str(t), r.code, repr(r.dem_pop), repr(r.rep_pop), str(r.house),
+         str(reference.SENATE * r.states),
+         str(r.diff), str(int(r.carried_ca))]
+        for t, r in zip(expected["trial"], outcomes)]
 
 
 def test_summary_json_round_trip(summary_20k):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elections import scenarios, tally
+from elections import tally
 
-TURNOUT = scenarios.TOY_TURNOUT
-HOUSE = scenarios.TOY_HOUSE
+TURNOUT = tally.TOY_TURNOUT
+HOUSE = tally.TOY_HOUSE
 
 
 def test_state_winners():
@@ -33,7 +33,7 @@ def test_popular_totals():
 
 
 def test_scenario_lw():
-    t = scenarios.run_scenario("LW")
+    t = tally.run_scenario("LW")
     assert (round(t.dem_pop), round(t.rep_pop)) == (253, 247)
     assert t.totals(tally.FULL) == (5, 6)
     assert t.totals(tally.HOUSE_ONLY) == (3, 2)
@@ -41,7 +41,7 @@ def test_scenario_lw():
 
 
 def test_scenario_ll():
-    t = scenarios.run_scenario("LL")
+    t = tally.run_scenario("LL")
     assert (round(t.dem_pop), round(t.rep_pop)) == (261, 239)
     assert t.totals(tally.FULL) == (3, 8)
     assert t.totals(tally.HOUSE_ONLY) == (1, 4)
@@ -49,7 +49,7 @@ def test_scenario_ll():
 
 
 def test_scenario_wl():
-    t = scenarios.run_scenario("WL")
+    t = tally.run_scenario("WL")
     assert (round(t.dem_pop), round(t.rep_pop)) == (253, 247)
     assert t.totals(tally.FULL) == (6, 5)
     assert t.totals(tally.HOUSE_ONLY) == (2, 3)
@@ -57,7 +57,7 @@ def test_scenario_wl():
 
 
 def test_rule_equivalences():
-    t = scenarios.run_scenario("LW")  # D carries state 1: 3 House electors
+    t = tally.run_scenario("LW")  # D carries state 1: 3 House electors
     assert (t.dem_house, t.dem_states, t.house_total, t.n_states) == (3, 1, 5, 3)
     assert t.totals(tally.HOUSE_ONLY) == (3, 2)
     assert t.totals(tally.FULL) == (3 + 2 * 1, 2 + 2 * 2)
@@ -66,7 +66,7 @@ def test_rule_equivalences():
 
 
 def test_rule_validation():
-    t = scenarios.run_scenario("LW")
+    t = tally.run_scenario("LW")
     for k in (-1, np.int64(-2)):
         with pytest.raises(ValueError):
             tally.pool(3, 1, k)
@@ -75,7 +75,7 @@ def test_rule_validation():
 
 
 def test_winner_and_exact_split():
-    t = scenarios.run_scenario("WL")
+    t = tally.run_scenario("WL")
     assert t.totals(tally.FULL) == (6, 5)
     assert t.totals(tally.HOUSE_ONLY) == (2, 3)
     # equal split of a 4-elector toy pool has no winner
