@@ -31,7 +31,7 @@ import numpy as np
 from .dataset import CALIFORNIA, ELECTORS_TOTAL, HOUSE_TOTAL, N_STATES, ElectionDataset
 from .generator import draw_noise_batch, generate_shares_batch
 from .pca import PcaModel
-from .tally import DEM, FULL, HOUSE_ONLY, REP, STATES_WON, TallyResult, pool
+from .tally import DEM, FULL, HOUSE_ONLY, REP, STATES_WON, TallyResult, pool, tabulate
 
 CODES = ("WW", "WL", "LW", "LL")
 # the figure files of a run and their headers; trials.csv only with --emit-trials
@@ -132,13 +132,6 @@ def _scratch(name: str, rows: int, cols: int, dtype=float) -> np.ndarray:
     return buf[:rows]
 
 
-def _electors_won(win: np.ndarray, house: np.ndarray) -> np.ndarray:
-    """House electors and states carried per row of a bool (rows, states)
-    matrix, from one float32 BLAS product: exact, as every sum is <= 436."""
-    weights = np.stack([house, np.ones_like(house)], axis=1).astype(np.float32)
-    return (win @ weights).astype(np.int64).T
-
-
 def trial_columns(model: PcaModel, dataset: ElectionDataset,
                   seed: int, start: int, count: int) -> dict:
     """The columns of the classified trials among start..start+count-1, each
@@ -149,19 +142,10 @@ def trial_columns(model: PcaModel, dataset: ElectionDataset,
     z = draw_noise_batch(seed, start, count, model.n_components)
     clamped = generate_shares_batch(model, z, out=_scratch("shares", count, N_STATES))
     np.clip(clamped, 0.0, 1.0, out=clamped)
-    turnout = dataset.turnout.astype(float)
-    # a row-wise sum, unlike a matrix-vector product, gives every row the
-    # same bits wherever it sits in the chunk
-    dem_pop = np.multiply(clamped, turnout, out=_scratch("votes", count, N_STATES)).sum(axis=1)
-    total_pop = turnout.sum()
-    ties = np.equal(clamped, 0.5, out=_scratch("win", count, N_STATES, bool))
-    tied_state = ties.any(axis=1) if ties.any() else np.zeros(count, bool)
-    tied_popular = (dem_pop * 2 == total_pop) & ~tied_state
-    if not (keep := ~(tied_state | tied_popular)).all():
-        clamped, dem_pop = clamped[keep], dem_pop[keep]
+    tied_state, tied_popular, keep, dem_pop, total_pop, house_d, states_d, won = tabulate(
+        clamped, dataset.turnout, dataset.house_electors,
+        _scratch("votes", count, N_STATES), _scratch("win", count, N_STATES, bool))
     pw_dem = dem_pop * 2 > total_pop
-    win = np.greater(clamped, 0.5, out=ties[:len(clamped)])
-    house_d, states_d = _electors_won(win, dataset.house_electors)
     return {
         "tied_state": start + np.flatnonzero(tied_state),
         "tied_popular": start + np.flatnonzero(tied_popular),
@@ -169,7 +153,7 @@ def trial_columns(model: PcaModel, dataset: ElectionDataset,
         "pw_dem": pw_dem,
         "pw_house": np.where(pw_dem, house_d, HOUSE_TOTAL - house_d),
         "pw_states": np.where(pw_dem, states_d, N_STATES - states_d),
-        "carried_ca": win[:, CALIFORNIA] == pw_dem,
+        "carried_ca": won[:, CALIFORNIA] == pw_dem,
         "dem_pop": dem_pop,
         "rep_pop": total_pop - dem_pop,
     }

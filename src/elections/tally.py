@@ -1,10 +1,10 @@
-"""Popular and electoral tallies for a share vector under winner-take-all.
+"""Popular and electoral tallies of share vectors under winner-take-all.
 
-Works on arrays of any length so the three-state teaching scenarios and the
-full 51-state runs share one code path.  Popular totals stay real-valued
-(share times turnout, unrounded); per-state exact ties raise instead of
-being silently broken, since a hidden tie-break would make batch results
-depend on the seed in an undocumented way.
+tabulate is the one tally: the kernel's 51-state trials and the three-state
+teaching scenarios both go through it, so it takes share matrices of any
+width.  Popular totals stay real-valued (share times turnout, unrounded);
+exact ties are set apart instead of being silently broken, since a hidden
+tie-break would make batch results depend on the seed in an undocumented way.
 """
 
 from __future__ import annotations
@@ -43,6 +43,30 @@ def pool(house, states, k):
     return house + k * states
 
 
+def tabulate(clamped, turnout, house, votes=None, win=None):
+    """Tally each row of a (rows, states) share matrix.  Returns the bool row
+    masks tied_state (a share is exactly 0.5), tied_popular (an exact popular
+    split and no such share) and keep (neither); each kept row's dem_pop and
+    the Democrat's House electors and states carried; total_pop; and won, the
+    bool matrix of the states each kept row's Democrat carried.  Only won may
+    view votes and win, optional float and bool (rows, states) buffers."""
+    clamped, turnout = np.asarray(clamped, float), np.asarray(turnout, float)
+    # a row-wise sum, unlike a matrix-vector product, gives every row the
+    # same bits wherever it sits in the matrix
+    dem_pop = np.multiply(clamped, turnout, out=votes).sum(axis=1)
+    total_pop = turnout.sum()
+    ties = np.equal(clamped, 0.5, out=win)
+    tied_state = ties.any(axis=1) if ties.any() else np.zeros(len(clamped), bool)
+    tied_popular = (dem_pop * 2 == total_pop) & ~tied_state
+    if not (keep := ~(tied_state | tied_popular)).all():
+        clamped, dem_pop = clamped[keep], dem_pop[keep]
+    won = np.greater(clamped, 0.5, out=ties[:len(clamped)])
+    # one float32 BLAS product, exact while every sum is below 2**24
+    weights = np.stack([house, np.ones_like(house)], axis=1).astype(np.float32)
+    dem_house, dem_states = (won @ weights).astype(np.int64).T
+    return tied_state, tied_popular, keep, dem_pop, total_pop, dem_house, dem_states, won
+
+
 class TallyResult(NamedTuple):
     """One election's Democratic tallies and the sizes of the whole pools."""
 
@@ -64,7 +88,8 @@ class TallyResult(NamedTuple):
 def electoral_totals(clamped, turnout, house_electors,
                      senate_per_state: int = FULL) -> TallyResult:
     """Tally one share vector, raising TiedState on an exact 0.5 share; the
-    result answers any rule via TallyResult.totals."""
+    result answers any rule via TallyResult.totals.  The scalar reference for
+    perfbench's oracle and the tests: no program path calls it."""
     clamped = np.asarray(clamped, dtype=float)
     turnout = np.asarray(turnout, dtype=float)
     house = np.asarray(house_electors, dtype=np.int64)
@@ -105,24 +130,23 @@ SCENARIO_TITLES = {
 }
 
 
-def run_scenario(code: str) -> TallyResult:
-    return electoral_totals(SCENARIO_SHARES[code], TOY_TURNOUT, TOY_HOUSE)
+def scenario_totals(shares, turnout=TOY_TURNOUT, house=TOY_HOUSE) -> tuple:
+    """A's and B's popular votes, House+Senate electors and House electors."""
+    *_, dem_pop, total_pop, dem_house, dem_states, _ = tabulate([shares], turnout, house)
+    a, b = (dem_house[0], dem_states[0]), (house.sum() - dem_house[0], len(shares) - dem_states[0])
+    return (float(dem_pop[0]), float(total_pop - dem_pop[0]),
+            *(int(pool(*side, k)) for k in (FULL, HOUSE_ONLY) for side in (a, b)))
 
 
-def _row(label: str, tally: TallyResult) -> str:
-    (full_a, full_b), (house_a, house_b) = tally.totals(FULL), tally.totals(HOUSE_ONLY)
-    return (f"{label}{tally.dem_pop:5.0f}  {tally.rep_pop:5.0f}"
-            f"   {full_a:5d}  {full_b:5d}   {house_a:3d}  {house_b:3d}")
-
-
-def format_scenarios(results: dict[str, TallyResult]) -> str:
+def format_scenarios(results: dict[str, tuple]) -> str:
+    row = "{}{:5.0f}  {:5.0f}   {:5d}  {:5d}   {:3d}  {:3d}".format
     lines = []
-    for code, tally in results.items():
+    for code, totals in results.items():
         lines.append(f"{code}, {SCENARIO_TITLES[code]}")
         lines.append("state  A%    pop A  pop B   H+S A  H+S B   H A  H B")
         for s, share in enumerate(SCENARIO_SHARES[code]):
             # each row is the tally of that state alone
-            state = electoral_totals([share], TOY_TURNOUT[s:s + 1], TOY_HOUSE[s:s + 1])
-            lines.append(_row(f"{s + 1:>5}  {share:.0%}  ", state))
-        lines += [_row("total        ", tally), ""]
+            state = scenario_totals([share], TOY_TURNOUT[s:s + 1], TOY_HOUSE[s:s + 1])
+            lines.append(row(f"{s + 1:>5}  {share:.0%}  ", *state))
+        lines += [row("total        ", *totals), ""]
     return "\n".join(lines)

@@ -23,7 +23,7 @@ class Outcome(NamedTuple):
     dem: bool          # the Democrat won the popular vote
     house: int         # House electors of the states the popular winner carried
     states: int        # states the popular winner carried
-    carried_ca: bool   # the popular winner carried California
+    carried_ca: bool | None   # the popular winner carried California; None without it
     dem_pop: float
     rep_pop: float
     house_total: int
@@ -46,9 +46,10 @@ class Outcome(NamedTuple):
         return winner - loser if self.dem else loser - winner
 
 
-def tally_row(row, turnout, house, california: int) -> Outcome | str:
+def tally_row(row, turnout, house, california: int | None = None) -> Outcome | str:
     """The outcome of one clamped share row, or "tied_state" when some share
-    is exactly 0.5, else "tied_popular" when the popular vote splits exactly."""
+    is exactly 0.5, else "tied_popular" when the popular vote splits exactly.
+    california is California's state index, or None in a world without it."""
     if any(share == 0.5 for share in row):
         return "tied_state"
     dem_pop = float((np.asarray(row, float) * np.asarray(turnout, float)).sum())
@@ -62,6 +63,7 @@ def tally_row(row, turnout, house, california: int) -> Outcome | str:
             won_house += int(electors)
             won_states += 1
     return Outcome(dem=dem, house=won_house, states=won_states,
-                   carried_ca=(row[california] > 0.5) == dem, dem_pop=dem_pop,
+                   carried_ca=None if california is None else (row[california] > 0.5) == dem,
+                   dem_pop=dem_pop,
                    rep_pop=total - dem_pop, house_total=sum(int(e) for e in house),
                    n_states=len(row))

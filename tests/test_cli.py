@@ -19,13 +19,39 @@ def run(argv, capsys):
     return code, out, err
 
 
+SCENARIO_STDOUT = """\
+LW, unpopular with Senate electors only
+state  A%    pop A  pop B   H+S A  H+S B   H A  H B
+    1  53%    159    141       5      0     3    0
+    2  47%     47     53       0      3     0    1
+    3  47%     47     53       0      3     0    1
+total          253    247       5      6     3    2
+
+LL, unpopular under either method
+state  A%    pop A  pop B   H+S A  H+S B   H A  H B
+    1  49%    147    153       0      5     0    3
+    2  49%     49     51       0      3     0    1
+    3  65%     65     35       3      0     1    0
+total          261    239       3      8     1    4
+
+WL, unpopular with House electors only
+state  A%    pop A  pop B   H+S A  H+S B   H A  H B
+    1  49%    147    153       0      5     0    3
+    2  53%     53     47       3      0     1    0
+    3  53%     53     47       3      0     1    0
+total          253    247       6      5     2    3
+
+LW: popular 253-247, full 5-6, house 3-2  [ok]
+LL: popular 261-239, full 3-8, house 1-4  [ok]
+WL: popular 253-247, full 6-5, house 2-3  [ok]
+"""
+
+
 def test_scenario_command(capsys):
+    """The whole table, every per-state and total row, and the three checks."""
     code, out, err = run(["scenario"], capsys)
     assert code == 0
-    assert "LW: popular 253-247, full 5-6, house 3-2  [ok]" in out
-    assert "LL: popular 261-239, full 3-8, house 1-4  [ok]" in out
-    assert "WL: popular 253-247, full 6-5, house 2-3  [ok]" in out
-    assert "MISMATCH" not in out
+    assert out == SCENARIO_STDOUT
 
 
 def test_pca_json(capsys):

@@ -13,8 +13,8 @@ from elections import montecarlo as mc
 from elections.csvout import write_csv
 from elections.dataset import HOUSE_TOTAL, N_STATES, STATE_NAMES, ElectionDataset
 from elections.generator import draw_noise, generate_shares
-from elections.tally import (DEM, FULL, HOUSE_ONLY, REP, STATES_WON, TOY_HOUSE, TOY_TURNOUT,
-                             TallyResult, electoral_totals, pool, run_scenario)
+from elections.tally import (DEM, FULL, HOUSE_ONLY, REP, SCENARIO_SHARES, STATES_WON, TOY_HOUSE,
+                             TOY_TURNOUT, TallyResult, electoral_totals, pool, tabulate)
 
 import reference
 
@@ -59,7 +59,7 @@ def run_blocks(*args, **kwargs):
 
 def test_classify_scenarios():
     for code in ("LW", "LL", "WL"):
-        rec = mc.classify(run_scenario(code))
+        rec = mc.classify(electoral_totals(SCENARIO_SHARES[code], TOY_TURNOUT, TOY_HOUSE))
         assert rec.code == code
         assert rec.popular_winner == DEM
 
@@ -201,14 +201,25 @@ def test_run_batch_frees_the_calling_threads_buffers(model, dataset):
 
 
 def test_electors_won_is_exact(dataset):
-    house = dataset.house_electors
+    """tabulate's float32 product gives the exact House electors and states
+    the Democrat carried, on shares of 0 and 1 and an odd total turnout,
+    which no row can split exactly."""
+    house, turnout = dataset.house_electors, dataset.turnout.copy()
+    turnout[0] += 1
+    assert turnout.sum() % 2
+
+    def electors(win):
+        *_, keep, _, _, h, s, won = tabulate(win, turnout, house)
+        assert keep.all() and np.array_equal(won, win)
+        return h, s
+
     random = np.random.default_rng(0).random((1000, 51)) < 0.5
     for win in (random, np.ones((2, 51), bool), np.zeros((2, 51), bool)):
-        h, s = mc._electors_won(win, house)
+        h, s = electors(win)
         assert h.dtype == s.dtype == np.int64
         assert np.array_equal(h, win @ house) and np.array_equal(s, win.sum(axis=1))
-    assert mc._electors_won(np.ones((1, 51), bool), house).tolist() == [[436], [51]]
-    assert mc._electors_won(np.zeros((1, 51), bool), house).tolist() == [[0], [0]]
+    assert [v.tolist() for v in electors(np.ones((1, 51), bool))] == [[436], [51]]
+    assert [v.tolist() for v in electors(np.zeros((1, 51), bool))] == [[0], [0]]
 
 
 @pytest.mark.parametrize("threads", [2, 3, 7])

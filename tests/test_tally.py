@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from elections import tally
 
+import reference
+
 TURNOUT = tally.TOY_TURNOUT
 HOUSE = tally.TOY_HOUSE
 
@@ -33,7 +35,7 @@ def test_popular_totals():
 
 
 def test_scenario_lw():
-    t = tally.run_scenario("LW")
+    t = tally.electoral_totals(tally.SCENARIO_SHARES["LW"], TURNOUT, HOUSE)
     assert (round(t.dem_pop), round(t.rep_pop)) == (253, 247)
     assert t.totals(tally.FULL) == (5, 6)
     assert t.totals(tally.HOUSE_ONLY) == (3, 2)
@@ -41,7 +43,7 @@ def test_scenario_lw():
 
 
 def test_scenario_ll():
-    t = tally.run_scenario("LL")
+    t = tally.electoral_totals(tally.SCENARIO_SHARES["LL"], TURNOUT, HOUSE)
     assert (round(t.dem_pop), round(t.rep_pop)) == (261, 239)
     assert t.totals(tally.FULL) == (3, 8)
     assert t.totals(tally.HOUSE_ONLY) == (1, 4)
@@ -49,15 +51,28 @@ def test_scenario_ll():
 
 
 def test_scenario_wl():
-    t = tally.run_scenario("WL")
+    t = tally.electoral_totals(tally.SCENARIO_SHARES["WL"], TURNOUT, HOUSE)
     assert (round(t.dem_pop), round(t.rep_pop)) == (253, 247)
     assert t.totals(tally.FULL) == (6, 5)
     assert t.totals(tally.HOUSE_ONLY) == (2, 3)
     assert t.carried == ("R", "D", "D")
 
 
+@pytest.mark.parametrize("code", ["LW", "LL", "WL"])
+def test_scenario_rows_are_electoral_totals(code):
+    """Every per-state row of the scenario table, and its total row, holds
+    the scalar tally's numbers on the same shares."""
+    shares = tally.SCENARIO_SHARES[code]
+    worlds = [([share], slice(s, s + 1)) for s, share in enumerate(shares)]
+    for part, states in worlds + [(shares, slice(None))]:
+        t = tally.electoral_totals(part, TURNOUT[states], HOUSE[states])
+        assert tally.scenario_totals(part, TURNOUT[states], HOUSE[states]) == (
+            t.dem_pop, t.rep_pop, *t.totals(tally.FULL), *t.totals(tally.HOUSE_ONLY))
+
+
 def test_rule_equivalences():
-    t = tally.run_scenario("LW")  # D carries state 1: 3 House electors
+    # D carries state 1: 3 House electors
+    t = tally.electoral_totals(tally.SCENARIO_SHARES["LW"], TURNOUT, HOUSE)
     assert (t.dem_house, t.dem_states, t.house_total, t.n_states) == (3, 1, 5, 3)
     assert t.totals(tally.HOUSE_ONLY) == (3, 2)
     assert t.totals(tally.FULL) == (3 + 2 * 1, 2 + 2 * 2)
@@ -66,7 +81,7 @@ def test_rule_equivalences():
 
 
 def test_rule_validation():
-    t = tally.run_scenario("LW")
+    t = tally.electoral_totals(tally.SCENARIO_SHARES["LW"], TURNOUT, HOUSE)
     for k in (-1, np.int64(-2)):
         with pytest.raises(ValueError):
             tally.pool(3, 1, k)
@@ -75,7 +90,7 @@ def test_rule_validation():
 
 
 def test_winner_and_exact_split():
-    t = tally.run_scenario("WL")
+    t = tally.electoral_totals(tally.SCENARIO_SHARES["WL"], TURNOUT, HOUSE)
     assert t.totals(tally.FULL) == (6, 5)
     assert t.totals(tally.HOUSE_ONLY) == (2, 3)
     # equal split of a 4-elector toy pool has no winner
@@ -155,3 +170,37 @@ def test_totals_match_per_state_loop(states, k):
         else:
             rep += electors
     assert t.totals(k) == (dem, rep)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 8) | st.just(51),
+       rows=st.just(1) | st.integers(1, 60), buffers=st.booleans(),
+       half=st.sampled_from([0.0, 0.01, 0.1]))
+def test_tabulate_matches_the_reference(seed, width, rows, buffers, half):
+    """Every result of tabulate equals the per-state loop of tests/reference.py,
+    row by row, on matrices of 1 to 8 states or of 51, whose cells include
+    exact 0.5, 0 and 1 and whose small integer turnouts often split the
+    popular vote exactly; only won may view the buffers passed in."""
+    rng = np.random.default_rng(seed)
+    turnout, house = rng.integers(1, 4, width), rng.integers(1, 6, width)
+    u = rng.random((rows, width))
+    shares = np.where(u < 0.3, rng.random((rows, width)),
+                      rng.choice([0.0, 0.25, 0.75, 1.0], (rows, width)))
+    shares[u > 1 - half] = 0.5
+    votes, win = np.full((rows, width), np.nan), np.ones((rows, width), bool)
+    result = tally.tabulate(shares, turnout, house, *((votes, win) if buffers else ()))
+    tied_state, tied_popular, keep, dem_pop, total_pop, dem_house, dem_states, won = result
+
+    outcomes = [reference.tally_row(row, turnout, house) for row in shares.tolist()]
+    assert tied_state.tolist() == [r == "tied_state" for r in outcomes]
+    assert tied_popular.tolist() == [r == "tied_popular" for r in outcomes]
+    assert keep.tolist() == [not isinstance(r, str) for r in outcomes]
+    kept = [(row, r) for row, r in zip(shares.tolist(), outcomes) if not isinstance(r, str)]
+    assert dem_pop.tolist() == [r.dem_pop for _, r in kept]
+    assert (total_pop - dem_pop).tolist() == [r.rep_pop for _, r in kept]
+    assert (dem_pop * 2 > total_pop).tolist() == [r.dem for _, r in kept]
+    assert dem_house.tolist() == [r.house if r.dem else r.house_total - r.house for _, r in kept]
+    assert dem_states.tolist() == [r.states if r.dem else width - r.states for _, r in kept]
+    assert won.tolist() == [[share > 0.5 for share in row] for row, _ in kept]
+    for value in result[:-1]:
+        assert not np.shares_memory(value, votes) and not np.shares_memory(value, win)
