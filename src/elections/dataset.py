@@ -106,10 +106,8 @@ class ElectionDataset:
             raise DatasetError("turnout must be 51 positive counts")
         if house.shape != (N_STATES,) or np.any(house < 1):
             raise DatasetError("house electors must be 51 counts >= 1")
-        if int(house.sum()) != HOUSE_TOTAL:
-            raise ElectorSumMismatch(
-                f"house electors sum to {int(house.sum())}, expected {HOUSE_TOTAL}"
-            )
+        if (total := sum(house.tolist())) != HOUSE_TOTAL:   # Python ints: no int64 wrap
+            raise ElectorSumMismatch(f"house electors sum to {total}, expected {HOUSE_TOTAL}")
         for array in (shares, turnout, house):
             array.flags.writeable = False
         for name, value in zip(self.__slots__, (tuple(map(int, years)), shares, turnout, house)):

@@ -55,7 +55,7 @@ _CHUNK = 2048   # alone, the kernel ran 340, 329, 321 and 321 ns a trial at chun
 # to 8192 (AMD EPYC, 1 MB of L2 a core), and larger chunks were no faster end to end
 _BLOCK = 32 * _CHUNK   # trials per block: per-block work is rare, a block's rows a few MB
 _AHEAD = 2   # blocks that a thread may draw ahead of the first trial not yet passed on
-_local = threading.local()   # each thread's _scratch buffers
+_local = threading.local()   # each thread's share buffer, see _shares
 
 
 class ExactPopularTie(Exception):
@@ -124,11 +124,10 @@ def _unpopular(hs: np.ndarray, k: int | None) -> float:
     return _rate(int((hs * (_margin(k) <= 0)).sum()), int(hs.sum()))
 
 
-def _scratch(name: str, rows: int, cols: int, dtype=float) -> np.ndarray:
-    """This thread's reusable (rows, cols) array; no returned column may view it."""
-    if len(buf := getattr(_local, name, ())) < rows:
-        buf = np.empty((rows, cols), dtype)
-        setattr(_local, name, buf)
+def _shares(rows: int) -> np.ndarray:
+    """This thread's reusable (rows, 51) share matrix; no returned column may view it."""
+    if len(buf := getattr(_local, "shares", ())) < rows:
+        buf = _local.shares = np.empty((rows, N_STATES))
     return buf[:rows]
 
 
@@ -140,11 +139,10 @@ def trial_columns(model: PcaModel, dataset: ElectionDataset,
     numbers of the degenerate ones: tied_state, with some state's share
     exactly 0.5, and tied_popular, with an exact popular split and no state tie."""
     z = draw_noise_batch(seed, start, count, model.n_components)
-    clamped = generate_shares_batch(model, z, out=_scratch("shares", count, N_STATES))
+    clamped = generate_shares_batch(model, z, out=_shares(count))
     np.clip(clamped, 0.0, 1.0, out=clamped)
     tied_state, tied_popular, keep, dem_pop, total_pop, house_d, states_d, won = tabulate(
-        clamped, dataset.turnout, dataset.house_electors,
-        _scratch("votes", count, N_STATES), _scratch("win", count, N_STATES, bool))
+        clamped, dataset.turnout, dataset.house_electors)
     pw_dem = dem_pop * 2 > total_pop
     return {
         "tied_state": start + np.flatnonzero(tied_state),
@@ -197,8 +195,8 @@ class RunSummary(NamedTuple):
     bin_width: int
     california_crosstab: dict
     degenerate: dict
-    exact_full_splits: int = 0
-    exact_house_splits: int = 0
+    exact_full_splits: int
+    exact_house_splits: int
     records: tuple | None = None
     cells: np.ndarray | None = None   # the classified trials counted, see CELLS
 
@@ -311,7 +309,7 @@ def run_batch(model: PcaModel, dataset: ElectionDataset, trials: int, seed: int,
             ready.notify_all()
         for thread in filter(threading.Thread.is_alive, helpers):   # a failed start cannot join
             thread.join()
-        vars(_local).clear()   # the calling thread's _scratch buffers
+        vars(_local).clear()   # the calling thread's share buffer
     if errors:   # the first failed chunk's, as when the chunks ran in order
         raise errors[min(errors)]
     summary = summarize(cells, trials, seed, degenerate, bin_width)

@@ -43,24 +43,23 @@ def pool(house, states, k):
     return house + k * states
 
 
-def tabulate(clamped, turnout, house, votes=None, win=None):
+def tabulate(clamped, turnout, house):
     """Tally each row of a (rows, states) share matrix.  Returns the bool row
     masks tied_state (a share is exactly 0.5), tied_popular (an exact popular
     split and no such share) and keep (neither); each kept row's dem_pop and
     the Democrat's House electors and states carried; total_pop; and won, the
-    bool matrix of the states each kept row's Democrat carried.  Only won may
-    view votes and win, optional float and bool (rows, states) buffers."""
+    bool matrix of the states each kept row's Democrat carried."""
     clamped, turnout = np.asarray(clamped, float), np.asarray(turnout, float)
     # a row-wise sum, unlike a matrix-vector product, gives every row the
     # same bits wherever it sits in the matrix
-    dem_pop = np.multiply(clamped, turnout, out=votes).sum(axis=1)
+    dem_pop = (clamped * turnout).sum(axis=1)
     total_pop = turnout.sum()
-    ties = np.equal(clamped, 0.5, out=win)
+    ties = clamped == 0.5
     tied_state = ties.any(axis=1) if ties.any() else np.zeros(len(clamped), bool)
     tied_popular = (dem_pop * 2 == total_pop) & ~tied_state
     if not (keep := ~(tied_state | tied_popular)).all():
         clamped, dem_pop = clamped[keep], dem_pop[keep]
-    won = np.greater(clamped, 0.5, out=ties[:len(clamped)])
+    won = clamped > 0.5
     # one float32 BLAS product, exact while every sum is below 2**24
     weights = np.stack([house, np.ones_like(house)], axis=1).astype(np.float32)
     dem_house, dem_states = (won @ weights).astype(np.int64).T

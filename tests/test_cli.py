@@ -1057,6 +1057,29 @@ def test_bad_structure_file(tmp_path, capsys, save_dataset):
     assert "MalformedRow" in err
 
 
+@pytest.mark.parametrize("command", ["pca", "simulate"])
+def test_house_electors_whose_int64_sum_wraps(tmp_path, save_dataset, command):
+    """House electors 2**63 - 1, 2**63 - 1, 390 and 48 ones sum to 436 in
+    int64: the structure file is still one error line and exit 1."""
+    from elections import load_bundled_dataset
+
+    shares, structure = tmp_path / "shares.csv", tmp_path / "structure.csv"
+    save_dataset(load_bundled_dataset(), shares, structure)
+    rows = list(csv.reader(structure.read_text().splitlines()))
+    for row, electors in zip(rows[1:], [2**63 - 1, 2**63 - 1, 390] + [1] * 48):
+        row[2] = str(electors)
+    with structure.open("w", newline="") as f:
+        csv.writer(f).writerows(rows)
+    argv = [command, "--shares", str(shares), "--structure", str(structure)]
+    if command == "simulate":
+        argv += ["--trials", "100", "--out", str(tmp_path / "r")]
+    done = _cli(argv)
+    assert done.returncode == 1 and done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1 and "Traceback" not in done.stderr
+    assert "ElectorSumMismatch" in done.stderr
+    assert not (tmp_path / "r").exists()
+
+
 def _saved_pair(save_dataset, directory, **changes):
     """Write the bundled data, with `changes` to its fields, as a CSV pair."""
     from elections import ElectionDataset, load_bundled_dataset

@@ -121,6 +121,15 @@ def test_elector_sum_mismatch(dataset):
                            turnout=dataset.turnout, house_electors=house)
 
 
+def test_elector_sum_that_wraps_in_int64(dataset):
+    """Counts whose int64 sum wraps round to 436 still do not sum to 436."""
+    house = np.array([2**63 - 1, 2**63 - 1, 390] + [1] * 48, dtype=np.int64)
+    assert int(house.sum()) == 436
+    with pytest.raises(ds.ElectorSumMismatch, match=f"sum to {2**64 + 436}, expected 436"):
+        ds.ElectionDataset(years=dataset.years, shares=dataset.shares.copy(),
+                           turnout=dataset.turnout, house_electors=house)
+
+
 def test_missing_state_rejected(dataset, tmp_path, save_dataset):
     import csv
 

@@ -317,7 +317,7 @@ def test_threads_beyond_the_chunks_are_not_started(model, dataset, monkeypatch):
 def test_helpers_start_once_per_run_and_keep_their_buffers(model, dataset, monkeypatch):
     """A 5-block run at threads=3, the last block partial, starts two helper
     threads, and each draws all its chunks, across blocks, into the same
-    _scratch buffers."""
+    share buffer."""
     _small_blocks(monkeypatch)
     kernel, start, started, draws = mc.trial_columns, threading.Thread.start, [], []
 

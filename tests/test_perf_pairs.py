@@ -1,0 +1,46 @@
+"""The summary that scripts/perf_pairs.py prints for alternated perfbench pairs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "perf_pairs", Path(__file__).parents[1] / "scripts" / "perf_pairs.py")
+perf_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(perf_pairs)
+
+METRICS = [{"name": "wall_s", "better": "lower"}, {"name": "trials_per_s", "better": "higher"}]
+
+
+def _result(wall, rate, correct=True, failed=0):
+    return {"correct": correct, "failed": failed,
+            "metrics": {"wall_s": {"value": wall}, "trials_per_s": {"value": rate}}}
+
+
+def test_wins_follow_each_metrics_direction():
+    """A lower wall_s and a higher trials_per_s count as the change's wins,
+    an equal value as neither side's; the IQR is the parent's."""
+    runs = {"parent": [_result(1.0, 10), _result(2.0, 20), _result(3.0, 30), _result(4.0, 40)],
+            "change": [_result(0.5, 5), _result(2.5, 25), _result(2.0, 35), _result(4.0, 40)]}
+    first, header, wall, rate = perf_pairs.summary(runs, METRICS)
+    assert first.split(";")[0].split() == ["4", "pairs,", "4", "complete"]
+    assert first.endswith("every run correct with failed 0: yes")
+    assert header.split()[0] == "metric"
+    assert wall.split() == ["wall_s", "2.5", "2.25", "2", "of", "4", "2.5"]
+    assert rate.split() == ["trials_per_s", "25", "30", "2", "of", "4", "25"]
+
+
+@pytest.mark.parametrize("bad", [None, _result(1.0, 10, correct=False),
+                                 _result(1.0, 10, failed=1)],
+                         ids=["no-result", "incorrect", "failed-run"])
+def test_a_bad_run_is_reported(bad):
+    """A run without a result line, or one not correct or with a failed run,
+    turns the flag to NO; a pair missing a result is left out of the medians."""
+    runs = {"parent": [_result(1.0, 10), _result(2.0, 20)],
+            "change": [_result(0.5, 15), bad]}
+    first, _, wall, _ = perf_pairs.summary(runs, METRICS)
+    assert first.endswith("every run correct with failed 0: NO")
+    complete = 1 if bad is None else 2
+    assert first.split(";")[0].split() == ["2", "pairs,", str(complete), "complete"]
+    assert wall.split()[4:6] == ["of", str(complete)]
