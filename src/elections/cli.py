@@ -206,7 +206,7 @@ def cmd_report(args, parser) -> int:
         deg = s["degenerate"]
         if deg["tied_state"] or deg["tied_popular"]:
             lines.append(f"Degenerate trials: {deg}")
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         return _failed(f"cannot read {args.summary}", exc)
     print("\n".join(lines))
     return 0
@@ -248,8 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=_at_least(1, THREADS_LIMIT), default=1)
     p.add_argument("--bins", type=_at_least(1, BINS_LIMIT), default=mc.DEFAULT_BIN_WIDTH,
                    help="electoral-difference histogram bin width (default 20)")
-    p.add_argument("--k-values", type=_at_least(0, K_LIMIT), nargs="+",
-                   default=[0, 2, 10, 100],
+    p.add_argument("--k-values", type=_at_least(0, K_LIMIT), nargs="+", default=mc.DEFAULT_K_VALUES,
                    help="Senate elector counts for the sweep")
     p.add_argument("--out", default="results", help="output directory")
     p.add_argument("--emit-trials", action="store_true",

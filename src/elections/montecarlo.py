@@ -51,11 +51,11 @@ CELLS = (2, 2, HOUSE_TOTAL + 1, N_STATES + 1)
 _H, _S = np.ogrid[:HOUSE_TOTAL + 1, :N_STATES + 1]   # the (H, S) grid of the last two
 
 DEFAULT_BIN_WIDTH = 20
+DEFAULT_K_VALUES = (0, 2, 10, 100)   # senate_sweep's and --k-values' default k
 _CHUNK = 2048   # alone, the kernel ran 340, 329, 321 and 321 ns a trial at chunks of 1024
 # to 8192 (AMD EPYC, 1 MB of L2 a core), and larger chunks were no faster end to end
 _BLOCK = 32 * _CHUNK   # trials per block: per-block work is rare, a block's rows a few MB
 _AHEAD = 2   # blocks that a thread may draw ahead of the first trial not yet passed on
-_local = threading.local()   # each thread's share buffer, see _shares
 
 
 class ExactPopularTie(Exception):
@@ -124,22 +124,16 @@ def _unpopular(hs: np.ndarray, k: int | None) -> float:
     return _rate(int((hs * (_margin(k) <= 0)).sum()), int(hs.sum()))
 
 
-def _shares(rows: int) -> np.ndarray:
-    """This thread's reusable (rows, 51) share matrix; no returned column may view it."""
-    if len(buf := getattr(_local, "shares", ())) < rows:
-        buf = _local.shares = np.empty((rows, N_STATES))
-    return buf[:rows]
-
-
 def trial_columns(model: PcaModel, dataset: ElectionDataset,
-                  seed: int, start: int, count: int) -> dict:
-    """The columns of the classified trials among start..start+count-1, each
-    drawn once: trial, the popular winner's pw_dem (the Democrat won),
-    pw_house, pw_states and carried_ca, and dem_pop and rep_pop; and the
+                  seed: int, start: int, shares: np.ndarray) -> dict:
+    """The columns of the classified trials among the len(shares) from start
+    on, each drawn once into the caller's (rows, 51) matrix shares, which no
+    returned column views: trial, the popular winner's pw_dem (the Democrat
+    won), pw_house, pw_states and carried_ca, and dem_pop and rep_pop; and the
     numbers of the degenerate ones: tied_state, with some state's share
     exactly 0.5, and tied_popular, with an exact popular split and no state tie."""
-    z = draw_noise_batch(seed, start, count, model.n_components)
-    clamped = generate_shares_batch(model, z, out=_shares(count))
+    z = draw_noise_batch(seed, start, len(shares), model.n_components)
+    clamped = generate_shares_batch(model, z, out=shares)
     np.clip(clamped, 0.0, 1.0, out=clamped)
     tied_state, tied_popular, keep, dem_pop, total_pop, house_d, states_d, won = tabulate(
         clamped, dataset.turnout, dataset.house_electors)
@@ -197,8 +191,8 @@ class RunSummary(NamedTuple):
     degenerate: dict
     exact_full_splits: int
     exact_house_splits: int
+    cells: np.ndarray   # the classified trials counted, see CELLS
     records: tuple | None = None
-    cells: np.ndarray | None = None   # the classified trials counted, see CELLS
 
     def to_dict(self) -> dict:
         out = self._asdict()
@@ -264,7 +258,7 @@ def run_batch(model: PcaModel, dataset: ElectionDataset, trials: int, seed: int,
     parts, errors, ready = {}, {}, threading.Condition()   # ready guards pending and passed
     pending = passed = 0   # the next chunk's start; the first trial not yet passed on
 
-    def work(until):   # draw chunks in order, each once within the look-ahead, until until()
+    def work(until, shares):   # draw chunks into shares, in order, each once in the look-ahead
         nonlocal pending
         while True:
             with ready:
@@ -274,20 +268,22 @@ def run_batch(model: PcaModel, dataset: ElectionDataset, trials: int, seed: int,
                 start = pending   # its chunk ends at the next start, its block's end or the run's
                 pending = end = min(start + _CHUNK, start - start % _BLOCK + _BLOCK, trials)
             try:
-                parts[start] = trial_columns(model, dataset, seed, start, end - start)
+                parts[start] = trial_columns(model, dataset, seed, start, shares[:end - start])
             except BaseException as exc:   # it ends its block; raised once every thread is joined
                 parts[start] = errors[start] = exc
             with ready:
                 ready.notify_all()
 
-    helpers = [threading.Thread(target=work, args=(lambda: pending == trials,))
-               for _ in range(min(threads, -(-trials // _CHUNK)) - 1)]
+    # one share matrix per drawing thread, the calling thread's first
+    matrices = [np.empty((_CHUNK, N_STATES)) for _ in range(min(threads, -(-trials // _CHUNK)))]
+    helpers = [threading.Thread(target=work, args=(lambda: pending == trials, shares))
+               for shares in matrices[1:]]
     try:
         for thread in helpers:
             thread.start()
         for first in range(0, trials, _BLOCK):
             chunks = range(first, min(first + _BLOCK, trials), _CHUNK)
-            work(lambda: all(start in parts for start in chunks))
+            work(lambda: all(start in parts for start in chunks), matrices[0])
             if any(start in errors for start in chunks):
                 break
             columns = [parts.pop(start) for start in chunks]
@@ -309,7 +305,6 @@ def run_batch(model: PcaModel, dataset: ElectionDataset, trials: int, seed: int,
             ready.notify_all()
         for thread in filter(threading.Thread.is_alive, helpers):   # a failed start cannot join
             thread.join()
-        vars(_local).clear()   # the calling thread's share buffer
     if errors:   # the first failed chunk's, as when the chunks ran in order
         raise errors[min(errors)]
     summary = summarize(cells, trials, seed, degenerate, bin_width)
@@ -328,7 +323,7 @@ class SweepResult(NamedTuple):
         return {**self._asdict(), "by_k": {str(k): v for k, v in self.by_k.items()}}
 
 
-def senate_sweep(summary: RunSummary, k_values=(0, 2, 10, 100)) -> SweepResult:
+def senate_sweep(summary: RunSummary, k_values=DEFAULT_K_VALUES) -> SweepResult:
     """Unpopular frequency under the House + k per state rule for each k,
     from the summary's cells.
 

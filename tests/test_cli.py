@@ -1028,9 +1028,10 @@ def test_process_scenario_is_mains(capsys):
     assert done.stdout == run(["scenario"], capsys)[1]
 
 
-@pytest.mark.parametrize("content", [None, "{not json", b"\xff\xfe", "{}", "[]"],
+@pytest.mark.parametrize("content", [None, "{not json", b"\xff\xfe", "{}", "[]",
+                                     "[" * 100_000, '{"a":' * 100_000],
                          ids=["missing", "not-json", "not-utf8", "empty-object",
-                              "empty-list"])
+                              "empty-list", "deep-list", "deep-object"])
 def test_report_unreadable(tmp_path, capsys, content):
     path = tmp_path / "summary.json"
     if isinstance(content, str):

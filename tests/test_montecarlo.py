@@ -147,7 +147,7 @@ def test_scalar_dem_pop_is_the_kernels_to_the_bit(model, dataset):
 
     z = draw_noise_batch(0, 0, mc._CHUNK, model.n_components)
     clamped = np.clip(generate_shares_batch(model, z), 0.0, 1.0)
-    columns = mc.trial_columns(model, dataset, 0, 0, mc._CHUNK)
+    columns = mc.trial_columns(model, dataset, 0, 0, np.empty((mc._CHUNK, N_STATES)))
     scalar = [electoral_totals(clamped[t], dataset.turnout, dataset.house_electors).dem_pop
               for t in columns["trial"]]
     assert scalar == columns["dem_pop"].tolist()
@@ -183,21 +183,17 @@ def test_one_row_last_chunk_matches_longer_run(model, dataset, monkeypatch):
 
 
 def test_kernel_columns_do_not_view_reused_buffers(model, dataset):
-    first = mc.trial_columns(model, dataset, 3, 0, 300)
+    """Two calls draw into one caller-owned matrix: the first call's columns
+    are unchanged by the second, and no column of either views the matrix."""
+    shares = np.empty((300, N_STATES))
+    first = mc.trial_columns(model, dataset, 3, 0, shares)
     kept = {name: column.copy() for name, column in first.items()}
-    mc.trial_columns(model, dataset, 4, 5000, 300)
-    buffers = vars(mc._local).values()
-    assert buffers
+    second = mc.trial_columns(model, dataset, 4, 5000, shares)
     for name, column in first.items():
         assert np.array_equal(column, kept[name]), name
-        assert not any(np.shares_memory(column, buf) for buf in buffers), name
-
-
-def test_run_batch_frees_the_calling_threads_buffers(model, dataset):
-    mc.trial_columns(model, dataset, 0, 0, 10)
-    assert vars(mc._local)
-    mc.run_batch(model, dataset, trials=5000, seed=1, threads=2)
-    assert not any(isinstance(buf, np.ndarray) for buf in vars(mc._local).values())
+    for columns in (first, second):
+        for name, column in columns.items():
+            assert not np.shares_memory(column, shares), name
 
 
 def test_electors_won_is_exact(dataset):
@@ -317,13 +313,13 @@ def test_threads_beyond_the_chunks_are_not_started(model, dataset, monkeypatch):
 def test_helpers_start_once_per_run_and_keep_their_buffers(model, dataset, monkeypatch):
     """A 5-block run at threads=3, the last block partial, starts two helper
     threads, and each draws all its chunks, across blocks, into the same
-    share buffer."""
+    share matrix, which no other thread draws into."""
     _small_blocks(monkeypatch)
     kernel, start, started, draws = mc.trial_columns, threading.Thread.start, [], []
 
-    def columns(model, dataset, seed, first, count):
-        out = kernel(model, dataset, seed, first, count)
-        draws.append((threading.current_thread(), mc._local.shares, first // mc._BLOCK))
+    def columns(model, dataset, seed, first, shares):
+        out = kernel(model, dataset, seed, first, shares)
+        draws.append((threading.current_thread(), shares.base, first // mc._BLOCK))
         time.sleep(0.002)   # every thread gets chunks
         return out
 
@@ -335,12 +331,16 @@ def test_helpers_start_once_per_run_and_keep_their_buffers(model, dataset, monke
     monkeypatch.setattr(threading.Thread, "start", counted)
     serial = mc.run_batch(model, dataset, trials=5 * mc._BLOCK - 100, seed=2, threads=1)
     assert started == []
+    draws.clear()
     parallel = mc.run_batch(model, dataset, trials=5 * mc._BLOCK - 100, seed=2, threads=3)
     assert len(started) == 2 and parallel.to_json() == serial.to_json()
     helper_draws = [d for d in draws if d[0] in started]
     assert len({block for _, _, block in helper_draws}) > 1
-    for thread in started:   # the buffers are held in draws, so no id is reused
+    for thread in started:   # the matrices are held in draws, so no id is reused
         assert len({id(buf) for t, buf, _ in helper_draws if t is thread}) <= 1
+    owners = {}   # no two threads, the calling thread among them, draw into one matrix
+    for thread, buf, _ in draws:
+        assert owners.setdefault(id(buf), thread) is thread
 
 
 def test_on_block_holds_the_threads_at_the_look_ahead(model, dataset, monkeypatch):
@@ -617,7 +617,8 @@ def test_kernel_matches_the_reference(model, dataset, seed, sizes, coin, bundled
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mc, "generate_shares_batch", drawn)
         for start, count in zip(starts, sizes):
-            chunks.append(mc.trial_columns(model, dataset, seed, start, count))
+            chunks.append(mc.trial_columns(model, dataset, seed, start,
+                                           np.empty((count, N_STATES))))
     block = {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
 
     california = STATE_NAMES.index("California")
