@@ -3,14 +3,15 @@
 A simulated election is mean + sum_j z_j * sqrt(lambda_j) * E_j with the
 z_j independent standard normals.  Noise is counter-based: master seed s in
 [0, 2**128) keys one Philox-4x64 stream, and trial t owns its counters
-[b*t, b*(t+1)), b = ceil(size / 4), i.e. 4*b words.  Word w gives the
-uniform ((w >> 11) + 1) * 2**-53 in (0, 1]; words 2i and 2i+1 give the
-Box-Muller pair r cos(theta), r sin(theta) with r = sqrt(-2 log u_2i) and
-theta = 2 pi u_2i+1.  A chunk of trials is one advance and one draw, in any
-order or in parallel.  Bits are promised within one numpy build and one
-SIMD dispatch path: with AVX-512 off (NPY_DISABLE_CPU_FEATURES), numpy's
-float64 log rounds some uniforms apart, and 2 of 20,000 trials.csv rows at
-seed 0 change in dem_pop/rep_pop.
+[b*t, b*(t+1)), b = ceil(size / 4), i.e. 4*b words.  Each raw 64-bit
+word w (`random_raw`) gives the exact uniform ((w >> 11) + 1) * 2**-53 in
+(0, 1]; words 2i and 2i+1 give the Box-Muller pair r cos(theta),
+r sin(theta) with r = sqrt(-2 log u_2i) and theta = 2 pi u_2i+1.  A chunk
+of trials is one advance and one draw, in any order or in parallel.  Bits
+are promised within one numpy build and one SIMD dispatch path: with
+AVX-512 off (NPY_DISABLE_CPU_FEATURES), numpy's float64 log rounds some
+uniforms apart, and 2 of 20,000 trials.csv rows at seed 0 change in
+dem_pop/rep_pop.
 """
 
 from __future__ import annotations
@@ -41,36 +42,30 @@ def _normals(u: np.ndarray, size: int) -> np.ndarray:
     """The first `size` Box-Muller normals of each row of uniforms in (0, 1],
     (radius, angle) pairs along the row: ceil(size/2) cosines, size//2 sines."""
     n_cos, n_sin = (size + 1) // 2, size // 2
-    # in place: temporaries taken anew on every chunk cost page faults
-    r = np.log(u[:, 0:2 * n_cos:2])
-    r *= -2.0
-    np.sqrt(r, out=r)
-    theta = np.multiply(u[:, 1:2 * n_cos:2], 2.0 * np.pi)
-    sin = np.sin(theta[:, :n_sin])
+    r = np.sqrt(-2.0 * np.log(u[:, 0:2 * n_cos:2]))
+    theta = 2.0 * np.pi * u[:, 1:2 * n_cos:2]
     z = np.empty((len(u), size))
-    np.multiply(r, np.cos(theta, out=theta), out=z[:, 0::2])
-    np.multiply(r[:, :n_sin], sin, out=z[:, 1::2])
+    z[:, 0::2] = r * np.cos(theta)
+    z[:, 1::2] = r[:, :n_sin] * np.sin(theta[:, :n_sin])
     return z
 
 
-def draw_noise_batch(seed: int, start: int, count: int, size: int = 11) -> np.ndarray:
+def draw_noise_batch(seed: int, start: int, count: int, size: int) -> np.ndarray:
     """(count, size) noise matrix for trials start..start+count-1."""
-    # Philox truncates a float key and takes True as 1, and wraps a negative
-    # advance, so both are checked here
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if start < 0:
-        raise ValueError(f"start must be >= 0, got {start}")
+    # Philox truncates a float key, takes True as 1 and wraps a negative
+    # advance, so every argument is checked here
+    for name, value, low in (("seed", seed, 0), ("start", start, 0), ("count", count, 0),
+                             ("size", size, 1)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     blocks = -(-size // 4)
-    bitgen = np.random.Philox(key=seed)  # raises ValueError unless 0 <= seed < SEED_LIMIT
-    bitgen.advance(blocks * start)
-    # Generator.random is (w >> 11) * 2**-53; the sum below is exact
-    u = np.random.Generator(bitgen).random((count, 4 * blocks))
-    u += 2.0 ** -53
+    bitgen = np.random.Philox(key=seed)  # raises ValueError unless seed < SEED_LIMIT
+    bitgen.advance(blocks * int(start))   # advance() overflows on a numpy integer
+    u = ((bitgen.random_raw((count, 4 * blocks)) >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
     return _normals(u, size)
 
 
-def draw_noise(seed: int, trial_index: int, size: int = 11) -> np.ndarray:
+def draw_noise(seed: int, trial_index: int, size: int) -> np.ndarray:
     """Independent standard normals for one trial: row 0 of its batch of one."""
     z = draw_noise_batch(seed, trial_index, 1, size)[0]
     z.flags.writeable = False

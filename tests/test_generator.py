@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from elections import generator as gen
 from elections.pca import PcaModel
 
@@ -27,22 +28,27 @@ def test_draw_noise_deterministic():
 
 
 def test_draw_noise_substreams_differ():
-    base = gen.draw_noise(7, 123)
-    assert not np.array_equal(base, gen.draw_noise(7, 124))
-    assert not np.array_equal(base, gen.draw_noise(8, 123))
+    base = gen.draw_noise(7, 123, 11)
+    assert not np.array_equal(base, gen.draw_noise(7, 124, 11))
+    assert not np.array_equal(base, gen.draw_noise(8, 123, 11))
 
 
 def test_draw_noise_negative_trial():
     with pytest.raises(ValueError):
-        gen.draw_noise(0, -1)
-    # Philox rejects keys outside [0, 2**128) but truncates a float key and
-    # takes True as key 1; a negative start must never reach advance()
+        gen.draw_noise(0, -1, 11)
+    # Philox truncates a float key and takes True as key 1, and advance()
+    # takes True as 1; a negative start must never reach advance()
     for seed, start in ((0, -1), (-1, 0), (2**128, 0), (1.5, 0), (True, 0),
-                        (np.float64(1), 0)):
+                        (np.float64(1), 0), (0, True), (0, 1.5), (0, np.float64(1))):
         with pytest.raises(ValueError):
-            gen.draw_noise_batch(seed, start, 5)
-    assert np.array_equal(gen.draw_noise_batch(np.uint64(1), 0, 2),
-                          gen.draw_noise_batch(1, 0, 2))
+            gen.draw_noise_batch(seed, start, 5, 11)
+    for count, size in ((-1, 11), (True, 11), (2.0, 11), (5, 0), (5, True), (5, 11.0)):
+        with pytest.raises(ValueError):
+            gen.draw_noise_batch(0, 0, count, size)
+    with pytest.raises(TypeError):   # size has no default
+        gen.draw_noise_batch(0, 0, 1)
+    assert np.array_equal(gen.draw_noise_batch(np.uint64(1), np.int64(0), np.int32(2), 11),
+                          gen.draw_noise_batch(1, 0, 2, 11))
 
 
 def test_batch_matches_single():
@@ -131,6 +137,56 @@ def test_draw_follows_the_word_contract():
         pairs = np.stack((r * np.cos(theta), r * np.sin(theta)), axis=-1).reshape(u.shape)
         assert np.array_equal(gen.draw_noise_batch(2**100 + 5, start, count, size),
                               pairs[:, :size])
+
+
+# seed, start and size of each reference draw: both ends of the key range, one
+# to five blocks per trial, and a start whose counter carries into its second word
+REFERENCE_DRAWS = [(seed, start, size) for seed in (0, 1, 2**128 - 1)
+                   for size in (1, 11, 12, 19)
+                   for start in (0, 1001, 2**64 // -(-size // 4) + 3)]
+
+
+def test_philox_words_match_the_reference():
+    for seed, start, size in REFERENCE_DRAWS:
+        blocks = -(-size // 4)
+        bitgen = np.random.Philox(key=seed)
+        bitgen.advance(blocks * start)
+        assert (bitgen.random_raw(4 * blocks * 8).tolist()
+                == reference.philox_words(seed, blocks * start, blocks * 8)), (seed, start, size)
+
+
+def reference_gaps(count=80):
+    """|draw_noise_batch - the reference|, relative above 1, for `count`
+    trials of each REFERENCE_DRAWS case, as one flat array."""
+    gaps = []
+    for seed, start, size in REFERENCE_DRAWS:
+        want = np.array([reference.normals(seed, start + t, size) for t in range(count)])
+        gaps.append((np.abs(gen.draw_noise_batch(seed, start, count, size) - want)
+                     / np.maximum(1.0, np.abs(want))).ravel())
+    return np.concatenate(gaps)
+
+
+def test_draw_matches_the_reference():
+    # numpy's AVX-512 float64 log may round a uniform's log one unit apart
+    # from the C library's, which `math.log` calls
+    assert reference_gaps().max() <= 1e-15
+
+
+def test_draw_equals_the_reference_without_avx512():
+    """With numpy's AVX-512 loops off, its log, cos and sin are the C
+    library's, and every normal equals the reference's bit for bit."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:   # numpy 1
+        from numpy.core._multiarray_umath import __cpu_features__
+    src, tests = Path(gen.__file__).resolve().parents[1], Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tests)])}
+    if __cpu_features__.get("AVX512F"):
+        env["NPY_DISABLE_CPU_FEATURES"] = "X86_V4 AVX512_ICL AVX512_SPR"
+    code = "import test_generator; print(int((test_generator.reference_gaps() != 0).sum()))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tests,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "0"
 
 
 def test_import_does_not_load_scipy():
