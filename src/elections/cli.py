@@ -25,10 +25,9 @@ from .csvout import write_csv
 from .generator import SEED_LIMIT
 from .tally import SCENARIO_SHARES, format_scenarios, scenario_totals
 
-MIN_ELECTIONS = 3
 WARN_ELECTIONS = 8
-# exclusive bounds of simulate's integer flags: below them every count is exact in
-# a double, as JSON readers parse it, and 2 * (436 + 51 k) and bin_width * diff fit in int64
+# exclusive bounds of simulate's integer flags: counts and histogram edges below them are exact
+# in a double, as JSON readers parse them; no k overflows, as senate_sweep takes k > 436 as 437
 TRIALS_LIMIT, K_LIMIT, BINS_LIMIT = 2**53, 10**16, 10**9
 # and --threads, the number of OS threads run_batch may start, is below
 THREADS_LIMIT = 256
@@ -39,17 +38,14 @@ def _load(args, parser) -> ds.ElectionDataset:
         data = ds.load_dataset(args.shares, args.structure)
     else:
         data = ds.load_bundled_dataset()
-    if any(year < args.start_year for year in data.years):
-        # counted first: a dataset of fewer than 2 years cannot be built
-        kept = sum(year >= args.start_year for year in data.years)
-        if kept < MIN_ELECTIONS:
-            parser.error(f"--start-year {args.start_year} leaves only "
-                         f"{kept} elections (need >= {MIN_ELECTIONS})")
-        data = data.restrict_years(args.start_year)
-        if kept < WARN_ELECTIONS:
-            print(f"warning: only {kept} elections remain after "
-                  f"--start-year {args.start_year}", file=sys.stderr)
-    return data
+    # counted first: restrict_years would raise MissingState, a data error
+    kept = sum(year >= args.start_year for year in data.years)
+    if kept < ds.MIN_ELECTIONS:
+        parser.error(f"--start-year {args.start_year} leaves only "
+                     f"{kept} elections (need >= {ds.MIN_ELECTIONS})")
+    if kept < WARN_ELECTIONS:
+        print(f"warning: only {kept} elections from {args.start_year} on", file=sys.stderr)
+    return data.restrict_years(args.start_year)
 
 
 def _failed(what: str, exc: Exception) -> int:

@@ -27,7 +27,7 @@ STATE_NAMES: tuple[str, ...] = (
 STATE_INDEX: dict[str, int] = {name: i for i, name in enumerate(STATE_NAMES)}
 
 N_STATES = 51
-N_YEARS = 12
+MIN_ELECTIONS = 3   # the fewest elections any history, bundled, read or cut, may hold
 
 HOUSE_TOTAL = 436          # 435 House seats + 1 for DC
 SENATE_PER_STATE = 2
@@ -42,7 +42,7 @@ class DatasetError(Exception):
 
 
 class MissingState(DatasetError):
-    """Fewer than 51 states or fewer than 12 years present."""
+    """Fewer than 51 states, or fewer than MIN_ELECTIONS elections, present."""
 
 
 class ShareOutOfRange(DatasetError):
@@ -92,8 +92,8 @@ class ElectionDataset:
         if shares.shape != (len(years), N_STATES):
             raise MissingState(f"shares matrix is {shares.shape}, "
                                f"expected ({len(years)}, {N_STATES})")
-        if len(years) < 2:
-            raise MissingState(f"need at least 2 election years, got {len(years)}")
+        if len(years) < MIN_ELECTIONS:
+            raise MissingState(f"need at least {MIN_ELECTIONS} elections, got {len(years)}")
         if not np.all(np.diff(years) == 4):
             raise DatasetError(f"years must increase in steps of 4: {years}")
         if not (np.all(shares > 0.0) and np.all(shares < 1.0)):
@@ -168,8 +168,6 @@ def load_dataset(shares_path=None, structure_path=None) -> ElectionDataset:
         float(row["dem_share"]) if "dem_share" in row
         else two_party_share(float(row["dem_votes"]), float(row["rep_votes"]))))
     years = tuple(sorted({year for _, year in cells}))
-    if len(years) < N_YEARS:
-        raise MissingState(f"{shares_path}: {len(years)} years present, expected {N_YEARS}")
     shares = np.empty((len(years), N_STATES))
     for t, year in enumerate(years):
         missing = [s for s in range(N_STATES) if (s, year) not in cells]

@@ -50,17 +50,22 @@ def _normals(u: np.ndarray, size: int) -> np.ndarray:
     return z
 
 
-def draw_noise_batch(seed: int, start: int, count: int, size: int) -> np.ndarray:
-    """(count, size) noise matrix for trials start..start+count-1."""
-    # Philox truncates a float key, takes True as 1 and wraps a negative
-    # advance, so every argument is checked here
-    for name, value, low in (("seed", seed, 0), ("start", start, 0), ("count", count, 0),
-                             ("size", size, 1)):
+def check_integers(**checks) -> list[int]:
+    """The values of name=(value, low) checks as Python ints, which json writes; a bool,
+    a non-integer or a value below low, which Philox would truncate or wrap, is a ValueError."""
+    for name, (value, low) in checks.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
             raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return [int(value) for value, _ in checks.values()]
+
+
+def draw_noise_batch(seed: int, start: int, count: int, size: int) -> np.ndarray:
+    """(count, size) noise matrix for trials start..start+count-1."""
+    seed, start, count, size = check_integers(
+        seed=(seed, 0), start=(start, 0), count=(count, 0), size=(size, 1))
     blocks = -(-size // 4)
     bitgen = np.random.Philox(key=seed)  # raises ValueError unless seed < SEED_LIMIT
-    bitgen.advance(blocks * int(start))   # advance() overflows on a numpy integer
+    bitgen.advance(blocks * start)
     u = ((bitgen.random_raw((count, 4 * blocks)) >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
     return _normals(u, size)
 

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import CALIFORNIA, ELECTORS_TOTAL, HOUSE_TOTAL, N_STATES, ElectionDataset
-from .generator import draw_noise_batch, generate_shares_batch
+from .generator import check_integers, draw_noise_batch, generate_shares_batch
 from .pca import PcaModel
 from .tally import DEM, FULL, HOUSE_ONLY, REP, STATES_WON, TallyResult, pool, tabulate
 
@@ -161,8 +161,7 @@ def _count(block: dict) -> np.ndarray:
 def histogram(values: np.ndarray, counts: np.ndarray, bin_width: int) -> list:
     """[lo, lo + bin_width, count] rows, in order, for the bins whose values,
     each occurring counts times, occur at all."""
-    if bin_width < 1:
-        raise ValueError(f"bin_width must be >= 1, got {bin_width}")
+    (bin_width,) = check_integers(bin_width=(bin_width, 1))
     los, index = np.unique(bin_width * (values // bin_width), return_inverse=True)
     sums = np.zeros(len(los), np.int64)
     np.add.at(sums, index, counts)
@@ -249,10 +248,8 @@ def run_batch(model: PcaModel, dataset: ElectionDataset, trials: int, seed: int,
     passes it to on_block(block), if given, so every row once and in order,
     while the helpers draw on.  A failed chunk's exception is raised once every
     thread is joined: the blocks before it are passed on, none after it."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    trials, seed, threads, bin_width = check_integers(
+        trials=(trials, 1), seed=(seed, 0), threads=(threads, 1), bin_width=(bin_width, 1))
     cells, records = np.zeros(CELLS, np.int64), []
     degenerate = {"tied_state": 0, "tied_popular": 0}
     parts, errors, ready = {}, {}, threading.Condition()   # ready guards pending and passed
@@ -331,9 +328,12 @@ def senate_sweep(summary: RunSummary, k_values=DEFAULT_K_VALUES) -> SweepResult:
     majority of the pool, so an exact split counts: by_k[0] is unpopular_house
     and by_k[2] unpopular_full.  Above HOUSE_TOTAL the margin has the sign of
     the odd 2S - 51, so every such k is counted as 437: the states-won rate.
-    A k < 0 raises ValueError (see tally.pool), a non-integer k TypeError.
+    A k < 0 raises ValueError (see tally.pool), a bool or other non-integer k TypeError.
     """
     hs = summary.cells.sum(axis=(0, 1))
+    k_values = tuple(k_values)
+    if any(isinstance(k, bool) for k in k_values):   # operator.index(True) is 1
+        raise TypeError(f"k must be an integer, not a bool: {k_values}")
     by_k = {k: _unpopular(hs, min(k, HOUSE_TOTAL + 1)) for k in map(operator.index, k_values)}
     return SweepResult(trials=summary.trials, seed=summary.seed, by_k=by_k,
                        states_won_limit=_unpopular(hs, STATES_WON))

@@ -1,18 +1,19 @@
 """An independent reference for the trial: its noise drawn from the
-generator's contract, and one clamped share row tallied state by state in a
-plain Python loop.
+generator's contract, projected onto the model and clamped state by state,
+and the clamped share row tallied state by state in a plain Python loop.
 
 It imports nothing from `elections` or `numpy.random`.  The draw is
 Philox4x64-10 (Salmon, Moraes, Dror and Shaw, "Parallel random numbers: as
 easy as 1, 2, 3", SC 2011) on Python ints, each word's uniform
 ((w >> 11) + 1) * 2**-53 and Box-Muller pairs (Box and Muller 1958) on
 `math`, so a test that compares `draw_noise_batch` with it checks numpy's
-counter order and key layout from their definition.  A test that compares
-the kernel's columns and `trials.csv` fields with the tally checks
-winner-take-all, the two tie rules, the elector pools and California's bit
-from their definitions.  Only dem_pop is numpy's: the row's sum of share
-times turnout, which is the sum the kernel documents, so that it compares
-exactly.
+counter order and key layout from their definition.  The projection
+mean_s + sum_j z_j sqrt(lambda_j) E_js and the clip to [0, 1] are on Python
+floats.  A test that compares the kernel's columns and `trials.csv` fields
+with the tally checks winner-take-all, the two tie rules, the elector pools
+and California's bit from their definitions.  Only dem_pop is numpy's: the
+row's sum of share times turnout, which is the sum the kernel documents, so
+that it compares exactly.
 """
 
 from __future__ import annotations
@@ -63,6 +64,14 @@ def normals(seed: int, trial: int, size: int) -> list[float]:
         r, theta = math.sqrt(-2.0 * math.log(u0)), 2.0 * math.pi * u1
         z += [r * math.cos(theta), r * math.sin(theta)]
     return z[:size]
+
+
+def project(z, mean, eigenvalues, eigenvectors) -> list[float]:
+    """The clamped share row of noise z: per state s, mean_s + sum_j z_j
+    sqrt(lambda_j) E_js, clipped to [0, 1]; eigenvectors are the rows E_j."""
+    scaled = [zj * math.sqrt(lam) for zj, lam in zip(z, eigenvalues)]
+    return [min(max(m + sum(c * e[s] for c, e in zip(scaled, eigenvectors)), 0.0), 1.0)
+            for s, m in enumerate(mean)]
 
 
 class Outcome(NamedTuple):

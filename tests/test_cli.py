@@ -12,6 +12,8 @@ from elections.cli import BINS_LIMIT, K_LIMIT, THREADS_LIMIT, TRIALS_LIMIT, buil
 from elections.csvout import SLICE_ROWS, write_csv
 from elections.generator import SEED_LIMIT
 
+import reference
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -239,6 +241,47 @@ def test_simulate_emit_trials(tmp_path, capsys):
     for r in rows[1:]:
         assert r[1] in ("WW", "WL", "LW", "LL")
         assert float(r[2]) > 0 and float(r[3]) > 0
+
+
+@pytest.mark.parametrize("trials, seed, start_year, n_clamped", [
+    (20000, 0, 1964, 41), (5000, 1, 1964, 20), (5000, 2**128 - 1, 1964, 10), (5000, 2, 1992, 0)])
+def test_trials_csv_matches_the_reference(tmp_path, capsys, trials, seed, start_year, n_clamped):
+    """Every 10th trial, and each of the n_clamped trials that the clip changes,
+    drawn, projected, clamped and tallied by tests/reference.py alone: its
+    trials.csv row has the same code, H, S, diff and California bit, and dem_pop
+    and rep_pop to rel 1e-12.  BLAS sums in its own order, so no compared share
+    may lie within 1e-12 of 0.5."""
+    import numpy as np
+
+    from elections import fit_pca, load_bundled_dataset
+    from elections.dataset import STATE_NAMES
+    from elections.generator import draw_noise_batch
+
+    assert run(["simulate", "--trials", str(trials), "--seed", str(seed), "--emit-trials",
+                "--start-year", str(start_year), "--out", str(tmp_path)], capsys)[0] == 0
+    with open(tmp_path / "trials.csv", newline="") as f:
+        rows = {int(row[0]): row for row in list(csv.reader(f))[1:]}
+    data = load_bundled_dataset().restrict_years(start_year)
+    model = fit_pca(data)
+    mean, lam, vecs = model.mean.tolist(), model.eigenvalues.tolist(), model.eigenvectors.tolist()
+    # the trials that the clip changes: the sample alone might miss them all
+    raw = model.mean + (draw_noise_batch(seed, 0, trials, len(lam)) * np.sqrt(model.eigenvalues)
+                        @ model.eigenvectors)
+    clamped = np.flatnonzero(((raw < 0) | (raw > 1)).any(axis=1)).tolist()
+    assert len(clamped) == n_clamped
+    nearest = 1.0
+    for t in sorted({*range(0, trials, 10), *clamped}):
+        row = reference.project(reference.normals(seed, t, len(lam)), mean, lam, vecs)
+        ref = reference.tally_row(row, data.turnout, data.house_electors,
+                                  STATE_NAMES.index("California"))
+        assert not isinstance(ref, str) and t in rows, t   # no tie in these runs
+        nearest = min(nearest, *(abs(share - 0.5) for share in row))
+        assert rows[t][1:2] + rows[t][4:] == [
+            ref.code, str(ref.house), str(reference.SENATE * ref.states), str(ref.diff),
+            str(int(ref.carried_ca))], t
+        assert float(rows[t][2]) == pytest.approx(ref.dem_pop, rel=1e-12, abs=0)
+        assert float(rows[t][3]) == pytest.approx(ref.rep_pop, rel=1e-12, abs=0)
+    assert nearest > 1e-12
 
 
 def test_report_command(tmp_path, capsys):
@@ -1109,11 +1152,11 @@ def test_zero_variance_history_rejected(tmp_path, capsys, save_dataset, command)
 
 
 @pytest.mark.parametrize("command", ["pca", "simulate"])
-@pytest.mark.parametrize("start_year, left", [(2000, 1), (2004, 0)])
+@pytest.mark.parametrize("start_year, left", [(1996, 2), (2000, 1), (2004, 0)])
 def test_start_year_leaving_under_two_elections(tmp_path, capsys, save_dataset,
                                                  command, start_year, left):
     # the bundled history shifted back 8 years (1956-2000): the usage error,
-    # not the dataset's own "need at least 2 election years"
+    # not the MissingState, a data error, that the cut dataset would raise
     years = tuple(range(1956, 2004, 4))
     shares, structure = _saved_pair(save_dataset, tmp_path, years=years)
     out = tmp_path / "r"
@@ -1125,6 +1168,48 @@ def test_start_year_leaving_under_two_elections(tmp_path, capsys, save_dataset,
         main(argv)
     assert exc.value.code == 2
     assert f"leaves only {left} elections (need >= 3)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_short_history_fits_what_start_year_fits(tmp_path, capsys, save_dataset):
+    """A shares file of the five elections 1992-2008 is no data error: pca prints
+    the model of --start-year 1992 byte for byte, with one warning, and
+    simulate writes the same files."""
+    from elections import load_bundled_dataset
+
+    recent = load_bundled_dataset().restrict_years(1992)
+    shares, structure = _saved_pair(save_dataset, tmp_path, years=recent.years,
+                                    shares=recent.shares)
+    data = ["--shares", str(shares), "--structure", str(structure)]
+    code, out, err = run(["pca", *data], capsys)
+    assert (code, out) == run(["pca", "--start-year", "1992"], capsys)[:2]
+    assert code == 0 and json.loads(out)["n"] == 5
+    assert err.splitlines() == ["warning: only 5 elections from 1964 on"]
+    for name, argv in (("file", data), ("cut", ["--start-year", "1992"])):
+        code, _, err = run(["simulate", "--trials", "2000", "--out", str(tmp_path / name), *argv],
+                           capsys)
+        assert code == 0 and len(err.splitlines()) == 1 and err.startswith("warning: only ")
+    files = sorted(path.name for path in (tmp_path / "file").iterdir())
+    assert files == sorted(path.name for path in (tmp_path / "cut").iterdir())
+    for name in files:
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "cut" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["pca", "simulate"])
+def test_a_two_election_history_is_a_data_error(tmp_path, capsys, save_dataset, command):
+    """A shares file of 2004 and 2008 alone exits 1 with one MissingState line."""
+    shares, structure = _saved_pair(save_dataset, tmp_path)
+    with open(shares, newline="") as f:
+        rows = [row for row in csv.reader(f) if row[1] in ("year", "2004", "2008")]
+    with open(shares, "w", newline="") as f:
+        csv.writer(f).writerows(rows)
+    out = tmp_path / "r"
+    argv = [command, "--shares", str(shares), "--structure", str(structure)]
+    if command == "simulate":
+        argv += ["--trials", "100", "--out", str(out)]
+    code, stdout, err = run(argv, capsys)
+    assert code == 1 and stdout == ""
+    assert err == "MissingState: need at least 3 elections, got 2\n"
     assert not out.exists()
 
 

@@ -95,6 +95,19 @@ def test_restrict_years(dataset):
     assert np.array_equal(sub.turnout, dataset.turnout)
 
 
+def test_a_history_needs_three_elections(dataset):
+    """Every history, however it is built, holds at least MIN_ELECTIONS elections."""
+    assert ds.MIN_ELECTIONS == 3
+    with pytest.raises(ds.MissingState, match="need at least 3 elections, got 2"):
+        ds.ElectionDataset(years=dataset.years[-2:], shares=dataset.shares[-2:],
+                           turnout=dataset.turnout, house_electors=dataset.house_electors)
+    with pytest.raises(ds.MissingState, match="need at least 3 elections, got 2"):
+        dataset.restrict_years(2004)
+    three = ds.ElectionDataset(years=dataset.years[-3:], shares=dataset.shares[-3:],
+                               turnout=dataset.turnout, house_electors=dataset.house_electors)
+    assert three.years == (2000, 2004, 2008)
+
+
 def test_dataset_is_immutable(dataset):
     for name in ("years", "shares", "senate_electors_base", "other"):
         with pytest.raises(AttributeError):

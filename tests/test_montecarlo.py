@@ -288,8 +288,28 @@ def test_every_chunk_is_drawn_once_under_fast_switching(model, dataset, monkeypa
 
 
 def test_run_batch_rejects_zero_threads(model, dataset):
-    with pytest.raises(ValueError, match="threads must be >= 1"):
+    with pytest.raises(ValueError, match="threads must be an integer >= 1"):
         mc.run_batch(model, dataset, trials=100, seed=0, threads=0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("trials", True), ("trials", 100.0), ("seed", True), ("seed", -1), ("threads", 2.0),
+    ("threads", True), ("bin_width", 2.5), ("bin_width", np.int64(0))])
+def test_run_batch_rejects_a_non_integer_argument(model, dataset, monkeypatch, name, value):
+    """A bool or a float is no count: trials=True once ran one trial and wrote
+    "trials": true, and threads=2.0 and bin_width=2.5 ran.  Nothing is drawn."""
+    monkeypatch.setattr(mc, "trial_columns", None)
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
+        mc.run_batch(model, dataset, **{"trials": 100, "seed": 0, name: value})
+
+
+def test_run_batch_takes_numpy_integers(model, dataset):
+    """A numpy integer counts as its value, and the summary still serializes."""
+    expected = mc.run_batch(model, dataset, trials=100, seed=3, bin_width=7).to_json()
+    summary = mc.run_batch(model, dataset, trials=np.int64(100), seed=np.int64(3),
+                           threads=np.int32(2), bin_width=np.uint8(7))
+    assert summary.to_json() == expected
+    assert [type(summary.trials), type(summary.seed), type(summary.bin_width)] == [int] * 3
 
 
 def test_threads_beyond_the_chunks_are_not_started(model, dataset, monkeypatch):
@@ -483,6 +503,10 @@ def test_sweep_rejects_non_integer_k(summary_20k, sweep_20k):
     for ks in ((2, 2.5, 2.9), (2**64, 2.0**64)):
         with pytest.raises(TypeError):
             mc.senate_sweep(summary_20k, k_values=ks)
+    # operator.index takes True as 1, so k = True once reported k = 1
+    for ks in ((True,), (0, False), (2, np.bool_(True))):
+        with pytest.raises(TypeError):
+            mc.senate_sweep(summary_20k, k_values=ks)
     sweep = mc.senate_sweep(summary_20k, k_values=np.array([0, 2, 10, 100]))
     assert sweep == sweep_20k and [type(k) for k in sweep.by_k] == [int] * 4
 
@@ -503,12 +527,12 @@ def test_run_batch_rejects_zero_trials(model, dataset):
         mc.run_batch(model, dataset, trials=10, seed=0, bin_width=0)
 
 
-@pytest.mark.parametrize("bin_width", [0, -5])
+@pytest.mark.parametrize("bin_width", [0, -5, 2.5, True])
 def test_histogram_rejects_bin_width_below_one(summary_20k, bin_width):
     """The histogram checks the width it divides by, whoever calls it."""
-    with pytest.raises(ValueError, match="bin_width must be >= 1"):
+    with pytest.raises(ValueError, match="bin_width must be an integer >= 1"):
         mc.histogram(np.array([-45, -3, 0, 17]), np.ones(4, np.int64), bin_width)
-    with pytest.raises(ValueError, match="bin_width must be >= 1"):
+    with pytest.raises(ValueError, match="bin_width must be an integer >= 1"):
         mc.summarize(summary_20k.cells, 20000, 0, summary_20k.degenerate, bin_width)
 
 
