@@ -13,6 +13,7 @@ import errno
 import io
 import json
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -27,10 +28,25 @@ from .tally import SCENARIO_SHARES, format_scenarios, scenario_totals
 
 WARN_ELECTIONS = 8
 # exclusive bounds of simulate's integer flags: counts and histogram edges below them are exact
-# in a double, as JSON readers parse them; no k overflows, as senate_sweep takes k > 436 as 437
-TRIALS_LIMIT, K_LIMIT, BINS_LIMIT = 2**53, 10**16, 10**9
+# in a double, as JSON readers parse them; a k is any integer >= 0, tally.pool's one rule
+TRIALS_LIMIT, BINS_LIMIT = 2**53, 10**9
 # and --threads, the number of OS threads run_batch may start, is below
 THREADS_LIMIT = 256
+# the signals that end a run: under run() each raises KeyboardInterrupt with itself
+INTERRUPTS = (signal.SIGINT, signal.SIGTERM, signal.SIGHUP)
+_caught = []   # the interrupts _unwind raised
+
+
+def _unwind(signum, frame):
+    _caught.append(signal.Signals(signum))
+    raise KeyboardInterrupt(_caught[0])
+
+
+def _reraise():
+    """Raise again an interrupt that C code cleared: Cython's module set-up
+    drops one taken in numpy.random's import, which the first draw runs."""
+    if _caught:
+        raise KeyboardInterrupt(_caught[0])
 
 
 def _load(args, parser) -> ds.ElectionDataset:
@@ -113,6 +129,7 @@ def cmd_simulate(args, parser) -> int:
                     write_csv(files[name], mc.FIGURES[name], [])
 
                 def append(block):   # each block's figure rows, after the last block's
+                    _reraise()
                     for name, columns in mc.emit_figure_data(block, args.emit_trials).items():
                         write_csv(files[name], None, columns)
 
@@ -135,7 +152,11 @@ def cmd_simulate(args, parser) -> int:
         print(f"outputs in {out_dir}")
         sys.stdout.flush()   # a stdout that fails is main's error, raised before any rename
         # no rename lands on a file: on ext4 one onto a file that an earlier rename
-        # installed waits for that file's writeback, about 60 ms a file
+        # installed waits for that file's writeback, about 60 ms a file.  An interrupt
+        # waits until all are in, so it leaves the old set or the new; the helper
+        # threads, which could take it, are joined
+        _reraise()
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, INTERRUPTS)
         try:
             for name, path in staged.items():
                 if held := os.path.lexists(target := out_dir / name):
@@ -150,6 +171,8 @@ def cmd_simulate(args, parser) -> int:
                     os.unlink(aside)
         except OSError as exc:
             return _failed(f"cannot write to {out_dir}", exc)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     finally:
         for path in staged.values():
             path.unlink(missing_ok=True)
@@ -244,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=_at_least(1, THREADS_LIMIT), default=1)
     p.add_argument("--bins", type=_at_least(1, BINS_LIMIT), default=mc.DEFAULT_BIN_WIDTH,
                    help="electoral-difference histogram bin width (default 20)")
-    p.add_argument("--k-values", type=_at_least(0, K_LIMIT), nargs="+", default=mc.DEFAULT_K_VALUES,
+    p.add_argument("--k-values", type=_at_least(0), nargs="+", default=mc.DEFAULT_K_VALUES,
                    help="Senate elector counts for the sweep")
     p.add_argument("--out", default="results", help="output directory")
     p.add_argument("--emit-trials", action="store_true",
@@ -261,14 +284,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        parser = build_parser()
+        args = parser.parse_args(argv)
         if sys.stdout is None:   # started with fd 1 closed
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         status = args.func(args, parser)
         sys.stdout.flush()
         return status
+    except KeyboardInterrupt as exc:   # every finally has run: no staged file is left
+        signum = exc.args[0] if exc.args else signal.SIGINT   # see _unwind
+        print(f"error: interrupted by {signum.name}", file=sys.stderr)
+        return 128 + signum
     except (ds.DatasetError, pc.DegenerateSample, MemoryError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -284,12 +311,21 @@ def main(argv=None) -> int:
 def run() -> None:
     """Exit with main's status once stdout and stderr are flushed.
 
+    While main runs, SIGINT, SIGTERM and SIGHUP, each at Python's default,
+    raise KeyboardInterrupt with the signal, so every finally runs and main
+    exits 128 + its number; an ignored one, as under nohup, stays ignored.
     When main returns, its files are closed and its threads joined, so once
     stdio is flushed os._exit skips interpreter teardown.  A failed flush is
     status 1, as a closed stdout is in main; a SystemExit or an exception out
     of main takes the normal exit path.
     """
-    status = main()
+    handlers = {signum: signal.signal(signum, _unwind) for signum in INTERRUPTS
+                if signal.getsignal(signum) in (signal.SIG_DFL, signal.default_int_handler)}
+    try:
+        status = main()
+    finally:
+        for signum, handler in handlers.items():
+            signal.signal(signum, handler)
     for stream in (sys.stdout, sys.stderr):
         try:
             stream.flush()

@@ -11,6 +11,9 @@ import numpy as np
 #   slice width (bytes)  11   16   24   32   62
 #   one .T.copy() (µs)   26   64  169  244  738
 #   12-wide bands (µs)   27   49   58   82  169
+# On a 2-vCPU Intel Xeon (in-process, minimum of 7), the bands against one
+# block.T.tobytes() a slice wrote trials.csv's rows in 327 against 371 ms at
+# 1M trials, 35 against 38 ms at 100k and 7.5 against 8.0 ms at 20k.
 SLICE_ROWS, BAND = 1 << 13, 12
 
 # DIGITS[:, v] is the four ASCII digits of v < 10**4, zero-padded; POW10[i] = 10**i

@@ -22,7 +22,6 @@ since resampling would bias frequencies.
 from __future__ import annotations
 
 import json
-import operator
 import threading
 from typing import NamedTuple
 
@@ -328,13 +327,11 @@ def senate_sweep(summary: RunSummary, k_values=DEFAULT_K_VALUES) -> SweepResult:
     majority of the pool, so an exact split counts: by_k[0] is unpopular_house
     and by_k[2] unpopular_full.  Above HOUSE_TOTAL the margin has the sign of
     the odd 2S - 51, so every such k is counted as 437: the states-won rate.
-    A k < 0 raises ValueError (see tally.pool), a bool or other non-integer k TypeError.
+    Each k is checked by check_integers, as in tally.pool, before that clamp.
     """
     hs = summary.cells.sum(axis=(0, 1))
-    k_values = tuple(k_values)
-    if any(isinstance(k, bool) for k in k_values):   # operator.index(True) is 1
-        raise TypeError(f"k must be an integer, not a bool: {k_values}")
-    by_k = {k: _unpopular(hs, min(k, HOUSE_TOTAL + 1)) for k in map(operator.index, k_values)}
+    ks = [check_integers(k=(k, 0))[0] for k in k_values]
+    by_k = {k: _unpopular(hs, min(k, HOUSE_TOTAL + 1)) for k in ks}
     return SweepResult(trials=summary.trials, seed=summary.seed, by_k=by_k,
                        states_won_limit=_unpopular(hs, STATES_WON))
 

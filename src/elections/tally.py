@@ -14,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import SENATE_PER_STATE
+from .generator import check_integers
 
 DEM = "D"
 REP = "R"
@@ -33,13 +34,12 @@ STATES_WON = None
 def pool(house, states, k):
     """Electors in the pool House + k per state carried; k=None counts states.
 
-    Elementwise on ints and numpy arrays alike.  Every elector rule of the
-    study is one k of this family, so a rule is just its k.
+    Elementwise on ints and numpy arrays.  Every elector rule of the study is
+    one k, so a rule is just its k: None, or an integer >= 0 by check_integers.
     """
     if k is None:
         return states
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    (k,) = check_integers(k=(k, 0))
     return house + k * states
 
 

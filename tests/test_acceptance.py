@@ -19,6 +19,13 @@ from elections.tally import SCENARIO_SHARES, scenario_totals
 
 SEED = 0
 TRIALS = 20000
+# criterion 5's frozen (low, high) band of each headline frequency
+HEADLINE_BANDS = {
+    "unpopular_full": (0.039, 0.060),
+    "unpopular_house": (0.059, 0.080),
+    "states_won": (0.050, 0.072),
+    "dem_win_rate": (0.40, 0.48),
+}
 
 VERDICTS: list[str] = []
 
@@ -84,15 +91,16 @@ def test_criterion_4_correlations(dataset):
            ok, f"{share:.3f} of 1275 pairs")
 
 
+def headlines(summary, sweep) -> dict:
+    """The four headline frequencies of a run, keyed as HEADLINE_BANDS."""
+    return {"unpopular_full": summary.unpopular_full, "unpopular_house": summary.unpopular_house,
+            "states_won": sweep.states_won_limit, "dem_win_rate": summary.dem_win_rate}
+
+
 def test_criterion_5_headline_frequencies(summary_20k, sweep_20k):
     t0 = time.perf_counter()
     s, sw = summary_20k, sweep_20k
-    checks = {
-        "unpopular_full": (s.unpopular_full, 0.039, 0.060),
-        "unpopular_house": (s.unpopular_house, 0.059, 0.080),
-        "states_won": (sw.states_won_limit, 0.050, 0.072),
-        "dem_win_rate": (s.dem_win_rate, 0.40, 0.48),
-    }
+    checks = {name: (value, *HEADLINE_BANDS[name]) for name, value in headlines(s, sw).items()}
     ok = (s.trials == TRIALS and s.seed == SEED
           and all(lo <= v <= hi for v, lo, hi in checks.values()))
     detail = ", ".join(f"{k}={v:.4f}" for k, (v, _, _) in checks.items())

@@ -8,7 +8,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from elections.cli import BINS_LIMIT, K_LIMIT, THREADS_LIMIT, TRIALS_LIMIT, build_parser, main
+from elections.cli import BINS_LIMIT, THREADS_LIMIT, TRIALS_LIMIT, build_parser, main
 from elections.csvout import SLICE_ROWS, write_csv
 from elections.generator import SEED_LIMIT
 
@@ -317,8 +317,7 @@ OUT_OF_RANGE = st.one_of(
               st.integers(max_value=0) | st.integers(min_value=TRIALS_LIMIT)),
     st.tuples(st.just("--seed"), st.integers(max_value=-1) | st.integers(min_value=2**128)),
     st.tuples(st.just("--bins"), st.integers(max_value=0) | st.integers(min_value=BINS_LIMIT)),
-    st.tuples(st.just("--k-values"),
-              st.integers(max_value=-1) | st.integers(min_value=K_LIMIT)),
+    st.tuples(st.just("--k-values"), st.integers(max_value=-1)),
     st.tuples(st.just("--threads"),
               st.integers(max_value=0) | st.integers(min_value=THREADS_LIMIT)),
 )
@@ -339,14 +338,16 @@ def test_simulate_out_of_range_integers(tmp_path_factory, flag_value):
 
 
 def test_simulate_largest_k_and_bins(tmp_path, capsys):
-    # just below their bounds, k and the bin width still fit in int64
+    """--k-values has no upper bound, as tally.pool has none; the bin width just
+    below its bound still runs.  --k-values 10**16 once exited 2."""
     out = tmp_path / "r"
-    assert run(["simulate", "--trials", "2000", "--out", str(out), "--k-values", "2",
-                str(K_LIMIT - 1), "--bins", str(BINS_LIMIT - 1)], capsys)[0] == 0
+    assert run(["simulate", "--trials", "2000", "--out", str(out), "--k-values", "0", "2",
+                str(10**16), str(2**64), "--bins", str(BINS_LIMIT - 1)], capsys)[0] == 0
     summary = json.loads((out / "run_summary.json").read_text())
     sweep = json.loads((out / "senate_sweep.json").read_text())
     # 51 states never split evenly, so a k above 436 follows the states won
-    assert sweep["by_k"][str(K_LIMIT - 1)] == sweep["states_won_limit"]
+    assert set(sweep["by_k"]) == {"0", "2", str(10**16), str(2**64)}
+    assert sweep["by_k"][str(10**16)] == sweep["by_k"][str(2**64)] == sweep["states_won_limit"]
     bins = summary["diff_histogram"]["bins"]
     assert {lo for lo, _, _ in bins} <= {-(BINS_LIMIT - 1), 0}
     assert sum(c for _, _, c in bins) == summary["counts"]["LW"] + summary["counts"]["LL"]
@@ -865,6 +866,127 @@ def test_failed_install_puts_the_old_file_back(tmp_path, capsys, monkeypatch):
     assert all(after[name] in (old[name], new[name]) for name in after)
 
 
+def _staged_size(path) -> int:
+    try:
+        return path.stat().st_size
+    except FileNotFoundError:
+        return 0
+
+
+@pytest.mark.parametrize("name", ["SIGINT", "SIGTERM", "SIGHUP"])
+def test_interrupted_simulate_leaves_the_previous_outputs(tmp_path, capsys, name):
+    """A signal in mid-run, once the staged trials.csv passes 100 kB, exits 128 +
+    its number with one stderr line and no traceback, leaves no staged file and
+    leaves the previous run's files byte-identical.  SIGTERM once left six
+    staged files, and SIGINT a 28-line traceback."""
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    signum = signal.Signals[name]
+    if signal.getsignal(signum) == signal.SIG_IGN:   # and so in the child, as nohup asks
+        pytest.skip(f"{name} is ignored in this process")
+    out = tmp_path / "o"
+    assert run(["simulate", "--trials", "20000", "--emit-trials", "--out", str(out)],
+               capsys)[0] == 0
+    before = _files(out)
+    child = subprocess.Popen([sys.executable, "-m", "elections.cli", "simulate", "--trials",
+                              "3000000", "--emit-trials", "--out", str(out)], env=_child_env(),
+                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while _staged_size(out / f".trials.csv.{child.pid}.tmp") <= 100_000:
+            assert child.poll() is None and time.monotonic() < deadline
+            time.sleep(0.002)
+        child.send_signal(signum)
+        err = child.communicate(timeout=60)[1]
+    finally:
+        child.kill()
+        child.wait()
+    assert child.returncode == 128 + signum
+    assert err.splitlines() == [f"error: interrupted by {name}"]
+    assert _files(out) == before
+
+
+CHILD_DROPPED = """\
+import signal, sys
+from elections import cli, montecarlo
+
+draw, signum = montecarlo.trial_columns, signal.Signals[sys.argv.pop(1)]
+
+def dropping(*args):   # C code that clears the interrupt, once
+    if not hasattr(dropping, "done"):
+        dropping.done = True
+        try:
+            signal.raise_signal(signum)
+        except KeyboardInterrupt:
+            pass
+    return draw(*args)
+
+montecarlo.trial_columns = dropping
+cli.run()
+"""
+
+
+@pytest.mark.parametrize("name", ["SIGINT", "SIGTERM", "SIGHUP"])
+def test_dropped_interrupt_is_raised_again(tmp_path, capsys, name):
+    """An interrupt that C code clears, as Cython's module set-up does in
+    numpy.random's import, is raised again when the block is passed on: the
+    run exits 128 + its number with one stderr line and changes nothing."""
+    import signal
+    import subprocess
+    import sys
+
+    argv = ["simulate", "--trials", "3000", "--emit-trials", "--out"]
+    out = tmp_path / "o"
+    assert run([*argv, str(out), "--seed", "5"], capsys)[0] == 0
+    before = _files(out)
+    done = subprocess.run([sys.executable, "-c", CHILD_DROPPED, name, *argv, str(out),
+                           "--seed", "6"], env=_child_env(), capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (128 + signal.Signals[name], "")
+    assert done.stderr.splitlines() == [f"error: interrupted by {name}"]
+    assert _files(out) == before
+
+
+CHILD_INSTALL = """\
+import os, signal, sys
+from elections import cli
+
+rename, renames, signum = os.rename, [], signal.Signals[sys.argv.pop(1)]
+
+def interrupted(src, dst):   # the third: the first file is in, the second's old one goes aside
+    renames.append(dst)
+    if len(renames) == 3:
+        signal.raise_signal(signum)
+    rename(src, dst)
+
+os.rename = interrupted
+cli.run()
+"""
+
+
+@pytest.mark.parametrize("name", ["SIGINT", "SIGTERM", "SIGHUP"])
+def test_signal_in_the_install_waits_for_the_new_set(tmp_path, capsys, name):
+    """A signal raised between two renames of the install takes effect once every
+    file is in: the run exits 128 + its number with one stderr line, and --out
+    holds the complete new set and no dot-file.  It runs in a child, where the
+    interrupt ends the process rather than the test session."""
+    import signal
+    import subprocess
+    import sys
+
+    argv = ["simulate", "--trials", "3000", "--emit-trials", "--out"]
+    assert run([*argv, str(tmp_path / "fresh"), "--seed", "6"], capsys)[0] == 0
+    out = tmp_path / "o"
+    assert run([*argv, str(out), "--seed", "5"], capsys)[0] == 0
+    done = subprocess.run([sys.executable, "-c", CHILD_INSTALL, name, *argv, str(out),
+                           "--seed", "6"], env=_child_env(), capture_output=True, text=True)
+    assert done.returncode == 128 + signal.Signals[name]
+    assert done.stderr.splitlines() == [f"error: interrupted by {name}"]
+    assert _files(out) == _files(tmp_path / "fresh")
+
+
 def test_bytes_depend_on_the_simd_dispatch_only_in_the_popular_votes(tmp_path):
     """With numpy's AVX-512 loops turned off, its float64 log rounds a few
     uniforms differently, so a few trials.csv rows differ in the last digits
@@ -1015,9 +1137,10 @@ def test_failed_stdout_leaves_no_open_file(monkeypatch):
 def test_run_flushes_then_exits(monkeypatch, status, out_fault, err_fault, code):
     """run() flushes stdout and stderr after main and ends with os._exit: main's
     status, or 1 if a flush fails, never a traceback.  It never freezes the
-    collector, which would log "freeze"."""
+    collector, which would log "freeze".  It leaves the signal handlers as they were."""
     import gc
     import os
+    import signal
     import sys
 
     from elections import cli
@@ -1040,6 +1163,7 @@ def test_run_flushes_then_exits(monkeypatch, status, out_fault, err_fault, code)
         log.append(value)
         raise Exit
 
+    handlers = [signal.getsignal(signum) for signum in cli.INTERRUPTS]
     monkeypatch.setattr(gc, "freeze", lambda: log.append("freeze"))
     monkeypatch.setattr(cli, "main", lambda: log.append("main") or status)
     monkeypatch.setattr(os, "_exit", _exit)
@@ -1048,6 +1172,60 @@ def test_run_flushes_then_exits(monkeypatch, status, out_fault, err_fault, code)
     with pytest.raises(Exit):
         cli.run()
     assert log == ["main", "flush", "flush", code]
+    assert [signal.getsignal(signum) for signum in cli.INTERRUPTS] == handlers
+
+
+def test_run_unwinds_only_signals_at_their_default(monkeypatch):
+    """While main runs, run() makes SIGINT and SIGTERM, at Python's default,
+    raise KeyboardInterrupt with the signal, and leaves SIGHUP ignored, as nohup
+    asks; then it restores all three."""
+    import os
+    import signal
+
+    from elections import cli
+
+    class Exit(Exception):
+        pass
+
+    def _exit(value):
+        raise Exit
+
+    seen, saved = {}, {signum: signal.getsignal(signum) for signum in cli.INTERRUPTS}
+    monkeypatch.setattr(cli, "main", lambda: seen.update(
+        {signum: signal.getsignal(signum) for signum in saved}) or 0)
+    monkeypatch.setattr(os, "_exit", _exit)
+    before = {signal.SIGINT: signal.default_int_handler, signal.SIGTERM: signal.SIG_DFL,
+              signal.SIGHUP: signal.SIG_IGN}
+    try:
+        for signum, handler in before.items():
+            signal.signal(signum, handler)
+        with pytest.raises(Exit):
+            cli.run()
+        assert seen == {signal.SIGINT: cli._unwind, signal.SIGTERM: cli._unwind,
+                        signal.SIGHUP: signal.SIG_IGN}
+        assert {signum: signal.getsignal(signum) for signum in before} == before
+    finally:
+        for signum, handler in saved.items():
+            signal.signal(signum, handler)
+
+
+@pytest.mark.parametrize("name", ["SIGINT", "SIGTERM", "SIGHUP"])
+def test_main_reports_an_interrupt_in_one_line(monkeypatch, capsys, name):
+    """An interrupt out of a command is one stderr line and status 128 + the
+    signal's number, which run()'s handler gives the KeyboardInterrupt; without
+    one, as from Python's own SIGINT handler, it is SIGINT's."""
+    import signal
+
+    from elections import cli
+
+    signum = signal.Signals[name]
+    interrupt = KeyboardInterrupt() if signum == signal.SIGINT else KeyboardInterrupt(signum)
+
+    def interrupted(args, parser):
+        raise interrupt
+
+    monkeypatch.setattr(cli, "cmd_scenario", interrupted)
+    assert run(["scenario"], capsys) == (128 + signum, "", f"error: interrupted by {name}\n")
 
 
 def test_process_stdout_to_a_file(tmp_path, capsys):
@@ -1317,7 +1495,7 @@ GRAMMAR = {
         _flag("--seed", _values(0, 7, SEED_LIMIT - 1, SEED_LIMIT, -1)),
         _flag("--threads", _values(1, 2, THREADS_LIMIT - 1, THREADS_LIMIT, 0)),
         _flag("--bins", _values(1, 20, BINS_LIMIT - 1, BINS_LIMIT, 0)),
-        _flag("--k-values", _values(0, 2, K_LIMIT - 1, K_LIMIT, -1)),
+        _flag("--k-values", _values(0, 2, 2**64, -1)),
         _flag("--out", st.sampled_from(["OUT", "FILE"])),
         st.just(["--emit-trials"]),
     ],

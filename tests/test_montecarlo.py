@@ -17,6 +17,7 @@ from elections.tally import (DEM, FULL, HOUSE_ONLY, REP, SCENARIO_SHARES, STATES
                              TOY_TURNOUT, TallyResult, electoral_totals, pool, tabulate)
 
 import reference
+from test_acceptance import HEADLINE_BANDS, headlines
 
 
 def make_tally(dem_house, dem_states, dem_pop=6.0e7, rep_pop=5.9e7,
@@ -499,13 +500,14 @@ def test_sweep_rejects_negative_k(summary_20k):
 
 
 def test_sweep_rejects_non_integer_k(summary_20k, sweep_20k):
+    """Each k is checked as tally.pool checks it, before the sweep's clamp to 437."""
     # a k of 2.9 once took the key 2 with its own rate, hiding k = 2's
-    for ks in ((2, 2.5, 2.9), (2**64, 2.0**64)):
-        with pytest.raises(TypeError):
+    for ks in ((2, 2.5, 2.9), (2**64, 2.0**64), (1e20,), ("2",)):
+        with pytest.raises(ValueError, match="k must be an integer >= 0"):
             mc.senate_sweep(summary_20k, k_values=ks)
     # operator.index takes True as 1, so k = True once reported k = 1
     for ks in ((True,), (0, False), (2, np.bool_(True))):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="k must be an integer >= 0"):
             mc.senate_sweep(summary_20k, k_values=ks)
     sweep = mc.senate_sweep(summary_20k, k_values=np.array([0, 2, 10, 100]))
     assert sweep == sweep_20k and [type(k) for k in sweep.by_k] == [int] * 4
@@ -513,11 +515,22 @@ def test_sweep_rejects_non_integer_k(summary_20k, sweep_20k):
 
 def test_sweep_at_the_largest_k(summary_20k, sweep_20k):
     """51 states never split evenly, so above k = 436 the states carried decide:
-    at k = 10**16 - 1, the largest --k-values takes, and at k = 2**62, 10**18
-    and 2**64 too, where 436 + 51 k leaves int64."""
+    at k = 10**16 - 1 and 10**17, and at k = 2**62, 10**18 and 2**64 too,
+    where 436 + 51 k leaves int64."""
     ks = (437, 10**16 - 1, 10**17, 2**62, 10**18, 2**64)
     sweep = mc.senate_sweep(summary_20k, k_values=ks)
     assert sweep.by_k == dict.fromkeys(ks, sweep_20k.states_won_limit)
+
+
+def test_model_headlines_lie_in_the_gate_bands(model, dataset):
+    """The model's own headline frequencies, not only seed 0's, lie in acceptance
+    criterion 5's frozen bands: at 2M trials the SE is about 0.00017, and the
+    model's values lie at least 14 SE inside every edge, so any seed passes.
+    Seed 52's 20k unpopular_house falls below the band's 0.059."""
+    summary = mc.run_batch(model, dataset, trials=2_000_000, seed=52, threads=2)
+    values = headlines(summary, mc.senate_sweep(summary))
+    for name, (low, high) in HEADLINE_BANDS.items():
+        assert low <= values[name] <= high, f"{name}={values[name]:.5f}"
 
 
 def test_run_batch_rejects_zero_trials(model, dataset):

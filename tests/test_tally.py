@@ -82,11 +82,13 @@ def test_rule_equivalences():
 
 def test_rule_validation():
     t = tally.electoral_totals(tally.SCENARIO_SHARES["LW"], TURNOUT, HOUSE)
-    for k in (-1, np.int64(-2)):
-        with pytest.raises(ValueError):
-            tally.pool(3, 1, k)
-        with pytest.raises(ValueError):
+    # a k of 2.5 once gave 17.5 electors, True 13 and totals(1.5) (4.5, 5.0)
+    for k in (-1, np.int64(-2), 2.5, 1.5, True, np.bool_(True), np.float64(2), "2"):
+        with pytest.raises(ValueError, match="k must be an integer >= 0"):
+            tally.pool(10, 3, k)
+        with pytest.raises(ValueError, match="k must be an integer >= 0"):
             t.totals(k)
+    assert tally.pool(10, 3, np.int64(2)) == 16 and type(tally.pool(10, 3, np.int64(2))) is int
 
 
 def test_winner_and_exact_split():
