@@ -22,7 +22,9 @@ since resampling would bias frequencies.
 from __future__ import annotations
 
 import json
+import os
 import threading
+from contextlib import suppress
 from typing import NamedTuple
 
 import numpy as np
@@ -235,6 +237,28 @@ def summarize(cells: np.ndarray, trials: int, seed: int, degenerate: dict,
     )
 
 
+def _pin(cpus) -> None:
+    """Run the calling thread on the CPU set cpus, if given and the OS agrees:
+    only a hint, which no output depends on."""
+    if cpus:
+        with suppress(OSError):
+            os.sched_setaffinity(0, cpus)
+
+
+def _placement(threads: int) -> tuple:
+    """The caller's CPU mask and, for each of `threads` drawing threads, the
+    one-CPU set it starts on, round-robin over the mask; or no mask and None
+    each, for one thread, a one-CPU mask or no affinity API."""
+    mask = set()
+    if threads > 1 and hasattr(os, "sched_setaffinity"):
+        with suppress(OSError):
+            mask = os.sched_getaffinity(0)
+    if len(mask) < 2:
+        return None, [None] * threads
+    cpus = sorted(mask)
+    return mask, [{cpus[i % len(cpus)]} for i in range(threads)]
+
+
 def run_batch(model: PcaModel, dataset: ElectionDataset, trials: int, seed: int,
               threads: int = 1, bin_width: int = DEFAULT_BIN_WIDTH,
               keep_records: bool = False, on_block=None) -> RunSummary:
@@ -246,7 +270,15 @@ def run_batch(model: PcaModel, dataset: ElectionDataset, trials: int, seed: int,
     _BLOCK trials is all in, the calling thread counts it into the cells and
     passes it to on_block(block), if given, so every row once and in order,
     while the helpers draw on.  A failed chunk's exception is raised once every
-    thread is joined: the blocks before it are passed on, none after it."""
+    thread is joined: the blocks before it are passed on, none after it.
+
+    Linux keeps threads that wake each other through the interpreter lock on
+    one CPU.  So where two or more threads draw and the caller's CPU affinity
+    mask holds two or more CPUs, drawing thread i (the calling thread is 0)
+    draws its first chunk on the mask's i-th CPU alone, round-robin, and then
+    gets the mask back: the calling thread's affinity changes during the call,
+    and is restored before run_batch returns or raises.  An OSError from the
+    affinity calls is ignored."""
     trials, seed, threads, bin_width = check_integers(
         trials=(trials, 1), seed=(seed, 0), threads=(threads, 1), bin_width=(bin_width, 1))
     cells, records = np.zeros(CELLS, np.int64), []
@@ -254,8 +286,8 @@ def run_batch(model: PcaModel, dataset: ElectionDataset, trials: int, seed: int,
     parts, errors, ready = {}, {}, threading.Condition()   # ready guards pending and passed
     pending = passed = 0   # the next chunk's start; the first trial not yet passed on
 
-    def work(until, shares):   # draw chunks into shares, in order, each once in the look-ahead
-        nonlocal pending
+    def work(until, shares, cpu):   # draw chunks into shares, in order, each once in the
+        nonlocal pending            # look-ahead; the first one on cpu, if given
         while True:
             with ready:
                 ready.wait_for(lambda: until() or pending < min(trials, passed + _AHEAD * _BLOCK))
@@ -263,23 +295,29 @@ def run_batch(model: PcaModel, dataset: ElectionDataset, trials: int, seed: int,
                     return
                 start = pending   # its chunk ends at the next start, its block's end or the run's
                 pending = end = min(start + _CHUNK, start - start % _BLOCK + _BLOCK, trials)
+            _pin(cpu)
             try:
                 parts[start] = trial_columns(model, dataset, seed, start, shares[:end - start])
             except BaseException as exc:   # it ends its block; raised once every thread is joined
                 parts[start] = errors[start] = exc
+            if cpu:   # back to the caller's mask
+                _pin(mask)
+                cpu = None
             with ready:
                 ready.notify_all()
 
     # one share matrix per drawing thread, the calling thread's first
     matrices = [np.empty((_CHUNK, N_STATES)) for _ in range(min(threads, -(-trials // _CHUNK)))]
-    helpers = [threading.Thread(target=work, args=(lambda: pending == trials, shares))
-               for shares in matrices[1:]]
+    mask, cpus = _placement(len(matrices))
+    helpers = [threading.Thread(target=work, args=(lambda: pending == trials, shares, cpu))
+               for shares, cpu in zip(matrices[1:], cpus[1:])]
     try:
         for thread in helpers:
             thread.start()
         for first in range(0, trials, _BLOCK):
             chunks = range(first, min(first + _BLOCK, trials), _CHUNK)
-            work(lambda: all(start in parts for start in chunks), matrices[0])
+            work(lambda: all(start in parts for start in chunks), matrices[0],
+                 None if first else cpus[0])
             if any(start in errors for start in chunks):
                 break
             columns = [parts.pop(start) for start in chunks]
@@ -301,6 +339,7 @@ def run_batch(model: PcaModel, dataset: ElectionDataset, trials: int, seed: int,
             ready.notify_all()
         for thread in filter(threading.Thread.is_alive, helpers):   # a failed start cannot join
             thread.join()
+        _pin(mask)   # the calling thread's mask, however the run ended
     if errors:   # the first failed chunk's, as when the chunks ran in order
         raise errors[min(errors)]
     summary = summarize(cells, trials, seed, degenerate, bin_width)

@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import time
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -469,6 +470,145 @@ def test_calling_thread_keeps_its_mask(model, dataset):
     before = os.sched_getaffinity(0)
     mc.run_batch(model, dataset, trials=5000, seed=1, threads=3)
     assert os.sched_getaffinity(0) == before
+
+
+MASK = {3, 5}
+
+
+def _fake_affinity(monkeypatch, mask=MASK):
+    """os.sched_getaffinity and os.sched_setaffinity on a made-up mask, each
+    thread's set kept apart.  Returns calls, the (thread, cpus) of every call
+    ("get" for a read), and current, each thread's set."""
+    calls, current = [], {}
+
+    def get(pid):
+        assert pid == 0
+        calls.append((threading.current_thread(), "get"))
+        return set(current.get(threading.current_thread(), mask))
+
+    def put(pid, cpus):
+        assert pid == 0
+        calls.append((threading.current_thread(), set(cpus)))
+        current[threading.current_thread()] = set(cpus)
+
+    monkeypatch.setattr(os, "sched_getaffinity", get, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", put, raising=False)
+    return calls, current
+
+
+def _started(monkeypatch):
+    """The threads started from now on, in order."""
+    start, started = threading.Thread.start, []
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+def _slow_chunks(monkeypatch):
+    """Chunks that take a few ms each, so every drawing thread gets some."""
+    kernel = mc.trial_columns
+
+    def columns(*args):
+        time.sleep(0.002)
+        return kernel(*args)
+
+    monkeypatch.setattr(mc, "trial_columns", columns)
+
+
+@pytest.mark.parametrize("threads, firsts", [(2, [{3}, {5}]), (3, [{3}, {5}, {3}])])
+def test_each_drawing_thread_starts_on_its_own_cpu(model, dataset, monkeypatch, threads, firsts):
+    """Drawing thread i, the calling thread 0, draws its first chunk on the
+    mask's i-th CPU alone, round-robin, and then gets the whole mask back."""
+    _small_blocks(monkeypatch)
+    _slow_chunks(monkeypatch)
+    calls, current = _fake_affinity(monkeypatch)
+    started, caller, at_block = _started(monkeypatch), threading.current_thread(), []
+    mc.run_batch(model, dataset, trials=3 * mc._BLOCK, seed=2, threads=threads,
+                 on_block=lambda block: at_block.append(current[caller]))
+    assert calls[0] == (caller, "get") and [c for _, c in calls].count("get") == 1
+    assert at_block == [MASK] * 3   # the first chunk only
+    for thread, first in zip([caller, *started], firsts, strict=True):
+        assert [c for t, c in calls if t is thread and c != "get"][:2] == [first, MASK]
+        assert current[thread] == MASK
+
+
+@pytest.mark.parametrize("end", ["return", "failed chunk", "on_block", "placed"])
+def test_the_calling_thread_gets_its_mask_back_however_the_run_ends(model, dataset, monkeypatch,
+                                                                    end):
+    """After a normal return, a chunk that raises, an on_block that raises
+    KeyboardInterrupt, and a KeyboardInterrupt that lands as the calling
+    thread is placed, before its first chunk, its set is the mask again."""
+    _small_blocks(monkeypatch)
+    _slow_chunks(monkeypatch)
+    kernel, caller = mc.trial_columns, threading.current_thread()
+    calls, current = _fake_affinity(monkeypatch)
+    put = os.sched_setaffinity
+
+    def columns(model, dataset, seed, start, shares):
+        if start == mc._BLOCK:
+            raise MemoryError("chunk of block 1")
+        return kernel(model, dataset, seed, start, shares)
+
+    def on_block(block):
+        raise KeyboardInterrupt
+
+    def placed(pid, cpus):
+        put(pid, cpus)
+        if threading.current_thread() is caller:
+            monkeypatch.setattr(os, "sched_setaffinity", put)
+            raise KeyboardInterrupt
+
+    error = {"failed chunk": MemoryError, "on_block": KeyboardInterrupt,
+             "placed": KeyboardInterrupt}.get(end)
+    if end == "failed chunk":
+        monkeypatch.setattr(mc, "trial_columns", columns)
+    if end == "placed":
+        monkeypatch.setattr(os, "sched_setaffinity", placed)
+    with pytest.raises(error) if error else nullcontext():
+        mc.run_batch(model, dataset, trials=3 * mc._BLOCK, seed=2, threads=2,
+                     on_block=on_block if end == "on_block" else None)
+    assert [c for t, c in calls if t is caller][:2] == ["get", {3}]
+    assert current[caller] == MASK
+
+
+@pytest.mark.parametrize("mask, threads, trials", [
+    (MASK, 1, 3 * 256), ({4}, 2, 3 * 256), (MASK, 3, 64)])
+def test_no_thread_is_placed_alone_or_on_one_cpu(model, dataset, monkeypatch, mask, threads,
+                                                 trials):
+    """threads=1, a one-CPU mask and a run of one chunk place nothing; only
+    the one-CPU mask is read."""
+    _small_blocks(monkeypatch)
+    calls, _ = _fake_affinity(monkeypatch, mask)
+    expected = mc.run_batch(model, dataset, trials=trials, seed=4, threads=1).to_json()
+    assert mc.run_batch(model, dataset, trials=trials, seed=4, threads=threads).to_json() \
+        == expected
+    assert [c for _, c in calls] == (["get"] if len(mask) == 1 else [])
+
+
+def test_no_affinity_call_without_the_api(model, dataset, monkeypatch):
+    _small_blocks(monkeypatch)
+    calls, _ = _fake_affinity(monkeypatch)
+    monkeypatch.delattr(os, "sched_setaffinity")
+    mc.run_batch(model, dataset, trials=3 * mc._BLOCK, seed=4, threads=2)
+    assert calls == []
+
+
+@pytest.mark.parametrize("broken", ["sched_setaffinity", "sched_getaffinity"])
+def test_an_affinity_error_changes_no_output(model, dataset, monkeypatch, broken):
+    _small_blocks(monkeypatch)
+    expected = mc.run_batch(model, dataset, trials=3 * mc._BLOCK, seed=4, threads=1).to_json()
+    _fake_affinity(monkeypatch)
+
+    def fails(*args):
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, broken, fails)
+    assert mc.run_batch(model, dataset, trials=3 * mc._BLOCK, seed=4,
+                        threads=2).to_json() == expected
 
 
 def test_chunk_size_invariance(model, dataset, monkeypatch):
