@@ -11,8 +11,11 @@ both sides alike.
 PYTHONDONTWRITEBYTECODE is unset, so each tree caches its bytecode as a
 plain perfbench run does.  For every workload and end-to-end metric it prints
 both medians, in how many pairs the change was better, and the parent's
-interquartile range; and whether every run read "correct": true with no
-failed run.  Each run's end-to-end metrics go to stderr as it ends.
+interquartile range; whether every run read "correct": true with no failed
+run; and on which metrics the change meets the bar a claimed gain must meet:
+better in at least 9 of 10 pairs, and a median better than the parent's by
+more than the parent's interquartile range.  Each run's end-to-end metrics
+go to stderr as it ends.
 """
 
 from __future__ import annotations
@@ -43,29 +46,52 @@ def run_perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict 
         return None
 
 
+def _compare(runs: dict, metric: dict):
+    """The parent's and the change's values of metric in the complete pairs, in
+    how many of them the change was better, and the parent's IQR; or None."""
+    values = [(p["metrics"][metric["name"]]["value"], c["metrics"][metric["name"]]["value"])
+              for p, c in zip(*(runs[s] for s in SIDES)) if p and c]
+    if not values:
+        return None
+    parent, change = zip(*values)
+    sign = 1 if metric["better"] == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in values)
+    q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (0, 0, 0)
+    return parent, change, wins, q3 - q1
+
+
 def summary(runs: dict, metrics: list) -> list[str]:
     """Lines comparing runs = {"parent": [...], "change": [...]}, one result
     (or None) per pair, on each metric {"name", "better": "lower" | "higher"}."""
     ok = all(r is not None and r["correct"] and r["failed"] == 0
              for side in SIDES for r in runs[side])
-    pairs = [(p["metrics"], c["metrics"]) for p, c in zip(*(runs[s] for s in SIDES)) if p and c]
-    lines = [f"  {len(runs['parent'])} pairs, {len(pairs)} complete; every run correct "
+    complete = sum(bool(p and c) for p, c in zip(*(runs[s] for s in SIDES)))
+    lines = [f"  {len(runs['parent'])} pairs, {complete} complete; every run correct "
              f"with failed 0: {'yes' if ok else 'NO'}",
              f"  {'metric':14s}{'parent median':>16s}{'change median':>16s}"
              f"{'change better':>16s}{'parent IQR':>14s}"]
     for metric in metrics:
-        name = metric["name"]
-        values = [(p[name]["value"], c[name]["value"]) for p, c in pairs]
-        if not values:
-            continue
-        parent, change = zip(*values)
-        sign = 1 if metric["better"] == "higher" else -1
-        wins = sum(sign * (c - p) > 0 for p, c in values)
-        q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (0, 0, 0)
-        lines.append(f"  {name:14s}{statistics.median(parent):16.6g}"
-                     f"{statistics.median(change):16.6g}{f'{wins} of {len(values)}':>16s}"
-                     f"{q3 - q1:14.4g}")
+        if compared := _compare(runs, metric):
+            parent, change, wins, iqr = compared
+            lines.append(f"  {metric['name']:14s}{statistics.median(parent):16.6g}"
+                         f"{statistics.median(change):16.6g}"
+                         f"{f'{wins} of {len(parent)}':>16s}{iqr:14.4g}")
     return lines
+
+
+def gain_bar(runs: dict, metrics: list) -> str:
+    """The metrics on which the change meets the bar of a claimed gain, better
+    in at least 9 of 10 pairs and a median better than the parent's by more
+    than the parent's IQR, and those on which it does not, as one line."""
+    met = {True: [], False: []}
+    for metric in metrics:
+        if compared := _compare(runs, metric):
+            parent, change, wins, iqr = compared
+            gap = statistics.median(change) - statistics.median(parent)
+            gap *= 1 if metric["better"] == "higher" else -1
+            met[10 * wins >= 9 * len(parent) and gap > iqr].append(metric["name"])
+    return (f"  gain bar (better in >= 9 of 10 pairs, median gap > parent IQR): "
+            f"met by {', '.join(met[True]) or 'none'}; unmet by {', '.join(met[False]) or 'none'}")
 
 
 def main() -> int:
@@ -91,6 +117,7 @@ def main() -> int:
     for workload in workloads:
         print(workload)
         print("\n".join(summary(runs[workload], bench["end_to_end"])))
+        print(gain_bar(runs[workload], bench["end_to_end"]))
     return 0
 
 

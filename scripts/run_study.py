@@ -10,9 +10,8 @@ narrative summary instead of writing files.  Usage:
 import argparse
 
 from elections import fit_pca, load_bundled_dataset, run_batch, senate_sweep
-from elections.cli import THREADS_LIMIT, TRIALS_LIMIT, _at_least
+from elections.cli import _integer
 from elections.dataset import STATE_NAMES
-from elections.generator import SEED_LIMIT
 from elections.pca import variance_explained
 
 # after elections, which sets one BLAS thread unless the user chose a count:
@@ -22,9 +21,9 @@ import numpy as np
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--trials", type=_at_least(1, TRIALS_LIMIT), default=20000)
-    ap.add_argument("--seed", type=_at_least(0, SEED_LIMIT), default=0)
-    ap.add_argument("--threads", type=_at_least(1, THREADS_LIMIT), default=1)
+    ap.add_argument("--trials", type=_integer("trials"), default=20000)
+    ap.add_argument("--seed", type=_integer("seed"), default=0)
+    ap.add_argument("--threads", type=_integer("threads"), default=1)
     args = ap.parse_args()
 
     data = load_bundled_dataset()

@@ -23,15 +23,10 @@ from . import dataset as ds
 from . import montecarlo as mc
 from . import pca as pc
 from .csvout import write_csv
-from .generator import SEED_LIMIT
+from .generator import check_integers
 from .tally import SCENARIO_SHARES, format_scenarios, scenario_totals
 
 WARN_ELECTIONS = 8
-# exclusive bounds of simulate's integer flags: counts and histogram edges below them are exact
-# in a double, as JSON readers parse them; a k is any integer >= 0, tally.pool's one rule
-TRIALS_LIMIT, BINS_LIMIT = 2**53, 10**9
-# and --threads, the number of OS threads run_batch may start, is below
-THREADS_LIMIT = 256
 # the signals that end a run: under run() each raises KeyboardInterrupt with itself
 INTERRUPTS = (signal.SIGINT, signal.SIGTERM, signal.SIGHUP)
 _caught = []   # the interrupts _unwind raised
@@ -238,13 +233,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _at_least(lo: int, below: float = float("inf")):
-    """argparse type: an integer in [lo, below)."""
+def _integer(name: str):
+    """argparse type: an integer that check_integers takes as `name`."""
     def integer(text: str) -> int:
         value = int(text)
-        if not lo <= value < below:
-            raise argparse.ArgumentTypeError(f"must be in [{lo}, {below}), got {value}")
-        return value
+        try:
+            return check_integers(**{name: value})[0]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return integer
 
 
@@ -262,12 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a simulation batch and write outputs")
     _add_data_args(p)
-    p.add_argument("--trials", type=_at_least(1, TRIALS_LIMIT), default=20000)
-    p.add_argument("--seed", type=_at_least(0, SEED_LIMIT), default=0)
-    p.add_argument("--threads", type=_at_least(1, THREADS_LIMIT), default=1)
-    p.add_argument("--bins", type=_at_least(1, BINS_LIMIT), default=mc.DEFAULT_BIN_WIDTH,
+    p.add_argument("--trials", type=_integer("trials"), default=20000)
+    p.add_argument("--seed", type=_integer("seed"), default=0)
+    p.add_argument("--threads", type=_integer("threads"), default=1)
+    p.add_argument("--bins", type=_integer("bin_width"), default=mc.DEFAULT_BIN_WIDTH,
                    help="electoral-difference histogram bin width (default 20)")
-    p.add_argument("--k-values", type=_at_least(0), nargs="+", default=mc.DEFAULT_K_VALUES,
+    p.add_argument("--k-values", type=_integer("k"), nargs="+", default=mc.DEFAULT_K_VALUES,
                    help="Senate elector counts for the sweep")
     p.add_argument("--out", default="results", help="output directory")
     p.add_argument("--emit-trials", action="store_true",

@@ -17,7 +17,7 @@ import numpy as np
 SLICE_ROWS, BAND = 1 << 13, 12
 
 # DIGITS[:, v] is the four ASCII digits of v < 10**4, zero-padded; POW10[i] = 10**i
-DIGITS = (np.arange(10**4) // 10 ** np.arange(3, -1, -1)[:, None] % 10 + 48).astype(np.uint8)
+DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1) + 48
 POW10 = 10 ** np.arange(20, dtype=np.uint64)
 # floats in [FAST_LO, FAST_HI) are rendered from their bits, the rest by repr
 FAST_LO, FAST_HI = 2.0**23, 2.0**53

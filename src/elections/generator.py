@@ -16,7 +16,8 @@ dem_pop/rep_pop.
 
 from __future__ import annotations
 
-import numbers
+import math
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +36,11 @@ class SimulatedShares(NamedTuple):
     clamped: np.ndarray
 
 
-SEED_LIMIT = 1 << 128  # Philox keys are 128 bits
+# [low, high) of each integer argument: counts below 2**53 and bin edges below 10**9 are exact
+# in a JSON double, run_batch starts up to threads - 1 OS threads, and Philox keys are 128 bits
+RANGES = {"trials": (1, 2**53), "seed": (0, 1 << 128), "threads": (1, 256),
+          "bin_width": (1, 10**9), "size": (1, math.inf), "k": (0, math.inf),
+          "start": (0, math.inf), "count": (0, math.inf)}
 
 
 def _normals(u: np.ndarray, size: int) -> np.ndarray:
@@ -50,21 +55,22 @@ def _normals(u: np.ndarray, size: int) -> np.ndarray:
     return z
 
 
-def check_integers(**checks) -> list[int]:
-    """The values of name=(value, low) checks as Python ints, which json writes; a bool,
-    a non-integer or a value below low, which Philox would truncate or wrap, is a ValueError."""
-    for name, (value, low) in checks.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    return [int(value) for value, _ in checks.values()]
+def check_integers(**values) -> list[int]:
+    """The name=value arguments as Python ints, which json writes; a bool, a non-integer
+    or a value outside RANGES[name], which Philox would truncate or wrap, is a ValueError."""
+    for name, n in values.items():
+        low, high = RANGES[name]
+        if isinstance(n, bool) or not (isinstance(n, Integral) and low <= int(n) < high):
+            bound = f" and < {high}" if high < math.inf else ""
+            raise ValueError(f"{name} must be an integer >= {low}{bound}, got {n!r}")
+    return [int(n) for n in values.values()]
 
 
 def draw_noise_batch(seed: int, start: int, count: int, size: int) -> np.ndarray:
     """(count, size) noise matrix for trials start..start+count-1."""
-    seed, start, count, size = check_integers(
-        seed=(seed, 0), start=(start, 0), count=(count, 0), size=(size, 1))
+    seed, start, count, size = check_integers(seed=seed, start=start, count=count, size=size)
     blocks = -(-size // 4)
-    bitgen = np.random.Philox(key=seed)  # raises ValueError unless seed < SEED_LIMIT
+    bitgen = np.random.Philox(key=seed)
     bitgen.advance(blocks * start)
     u = ((bitgen.random_raw((count, 4 * blocks)) >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
     return _normals(u, size)

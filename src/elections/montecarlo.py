@@ -53,8 +53,7 @@ _H, _S = np.ogrid[:HOUSE_TOTAL + 1, :N_STATES + 1]   # the (H, S) grid of the la
 
 DEFAULT_BIN_WIDTH = 20
 DEFAULT_K_VALUES = (0, 2, 10, 100)   # senate_sweep's and --k-values' default k
-_CHUNK = 2048   # alone, the kernel ran 340, 329, 321 and 321 ns a trial at chunks of 1024
-# to 8192 (AMD EPYC, 1 MB of L2 a core), and larger chunks were no faster end to end
+_CHUNK = 2048   # 1-thread kernel, 2-vCPU Xeon: 635, 634, 638 ns a trial at 1024, 2048, 4096 rows
 _BLOCK = 32 * _CHUNK   # trials per block: per-block work is rare, a block's rows a few MB
 _AHEAD = 2   # blocks that a thread may draw ahead of the first trial not yet passed on
 
@@ -162,7 +161,7 @@ def _count(block: dict) -> np.ndarray:
 def histogram(values: np.ndarray, counts: np.ndarray, bin_width: int) -> list:
     """[lo, lo + bin_width, count] rows, in order, for the bins whose values,
     each occurring counts times, occur at all."""
-    (bin_width,) = check_integers(bin_width=(bin_width, 1))
+    (bin_width,) = check_integers(bin_width=bin_width)
     los, index = np.unique(bin_width * (values // bin_width), return_inverse=True)
     sums = np.zeros(len(los), np.int64)
     np.add.at(sums, index, counts)
@@ -280,7 +279,7 @@ def run_batch(model: PcaModel, dataset: ElectionDataset, trials: int, seed: int,
     and is restored before run_batch returns or raises.  An OSError from the
     affinity calls is ignored."""
     trials, seed, threads, bin_width = check_integers(
-        trials=(trials, 1), seed=(seed, 0), threads=(threads, 1), bin_width=(bin_width, 1))
+        trials=trials, seed=seed, threads=threads, bin_width=bin_width)
     cells, records = np.zeros(CELLS, np.int64), []
     degenerate = {"tied_state": 0, "tied_popular": 0}
     parts, errors, ready = {}, {}, threading.Condition()   # ready guards pending and passed
@@ -369,7 +368,7 @@ def senate_sweep(summary: RunSummary, k_values=DEFAULT_K_VALUES) -> SweepResult:
     Each k is checked by check_integers, as in tally.pool, before that clamp.
     """
     hs = summary.cells.sum(axis=(0, 1))
-    ks = [check_integers(k=(k, 0))[0] for k in k_values]
+    ks = [check_integers(k=k)[0] for k in k_values]
     by_k = {k: _unpopular(hs, min(k, HOUSE_TOTAL + 1)) for k in ks}
     return SweepResult(trials=summary.trials, seed=summary.seed, by_k=by_k,
                        states_won_limit=_unpopular(hs, STATES_WON))

@@ -39,7 +39,7 @@ def pool(house, states, k):
     """
     if k is None:
         return states
-    (k,) = check_integers(k=(k, 0))
+    (k,) = check_integers(k=k)
     return house + k * states
 
 
@@ -89,8 +89,7 @@ def electoral_totals(clamped, turnout, house_electors,
     """Tally one share vector, raising TiedState on an exact 0.5 share; the
     result answers any rule via TallyResult.totals.  The scalar reference for
     perfbench's oracle and the tests: no program path calls it."""
-    clamped = np.asarray(clamped, dtype=float)
-    turnout = np.asarray(turnout, dtype=float)
+    clamped, turnout = np.asarray(clamped, float), np.asarray(turnout, float)
     house = np.asarray(house_electors, dtype=np.int64)
     tied = np.nonzero(clamped == 0.5)[0]
     if len(tied):

@@ -8,11 +8,15 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from elections.cli import BINS_LIMIT, THREADS_LIMIT, TRIALS_LIMIT, build_parser, main
-from elections.csvout import SLICE_ROWS, write_csv
-from elections.generator import SEED_LIMIT
+from elections.cli import build_parser, main
+from elections.csvout import DIGITS, SLICE_ROWS, write_csv
+from elections.generator import RANGES
 
 import reference
+
+# the exclusive upper bounds of simulate's bounded integer flags, from the library's table
+TRIALS_LIMIT, SEED_LIMIT, THREADS_LIMIT, BINS_LIMIT = (
+    RANGES[name][1] for name in ("trials", "seed", "threads", "bin_width"))
 
 
 def run(argv, capsys):
@@ -521,6 +525,13 @@ def test_write_csv_matches_csv_writer(n, specs, seed):
     # slices of 3 rows, so that n = 7 and 50 span several
     with mock.patch.object(csvout, "SLICE_ROWS", 3):
         _check_write_csv(specs, n, seed)
+
+
+def test_digits_table_holds_four_digits_of_each_value():
+    import numpy as np
+
+    assert DIGITS.shape == (4, 10**4) and DIGITS.dtype == np.uint8
+    assert [bytes(column).decode() for column in DIGITS.T] == [f"{v:04d}" for v in range(10**4)]
 
 
 def test_write_csv_above_one_slice():
@@ -1586,4 +1597,4 @@ def test_run_study_usage_errors(argv, capsys):
             pytest.raises(SystemExit) as exc:
         study["main"]()
     assert exc.value.code == 2
-    assert f"argument {argv[0]}: must be in" in capsys.readouterr().err
+    assert f"argument {argv[0]}: {argv[0][2:]} must be an integer >= " in capsys.readouterr().err

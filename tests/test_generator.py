@@ -61,6 +61,36 @@ def test_batch_matches_single():
             assert np.array_equal(batch[i], gen.draw_noise(3, 10 + i, size))
 
 
+BOUNDS = {"trials": 2**53, "seed": 2**128, "threads": 256, "bin_width": 10**9}
+
+
+@pytest.mark.parametrize("name, high", BOUNDS.items())
+def test_check_integers_takes_each_range_up_to_its_bound(name, high):
+    """Counts and bin edges are exact in a JSON double, threads counts OS threads,
+    and a seed is a 128-bit Philox key; high - 1 passes and high is a ValueError."""
+    assert gen.RANGES[name][1] == high
+    assert gen.check_integers(**{name: high - 1}) == [high - 1]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= [01] and < {high}, "):
+        gen.check_integers(**{name: high})
+
+
+@pytest.mark.parametrize("name, low", [("k", 0), ("start", 0), ("count", 0), ("size", 1)])
+def test_check_integers_unbounded_names(name, low):
+    """The other names have only a lower bound, and their message names no upper one."""
+    assert gen.check_integers(**{name: 10**100}) == [10**100]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= {low}, got {low - 1}$"):
+        gen.check_integers(**{name: low - 1})
+
+
+def test_draw_noise_batch_seed_upper_bound(monkeypatch):
+    """The largest key draws (REFERENCE_DRAWS checks its values); the next is
+    the range's ValueError, raised before Philox sees it."""
+    assert gen.draw_noise_batch(2**128 - 1, 0, 2, 11).shape == (2, 11)
+    monkeypatch.setattr(gen, "np", None)
+    with pytest.raises(ValueError, match=f"^seed must be an integer >= 0 and < {2**128}, "):
+        gen.draw_noise_batch(2**128, 0, 2, 11)
+
+
 def test_zero_noise_returns_mean(model):
     out = gen.generate_shares(model, np.zeros(model.n_components))
     assert np.array_equal(out.raw, model.mean)

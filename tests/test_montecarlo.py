@@ -305,6 +305,36 @@ def test_run_batch_rejects_a_non_integer_argument(model, dataset, monkeypatch, n
         mc.run_batch(model, dataset, **{"trials": 100, "seed": 0, name: value})
 
 
+@pytest.mark.parametrize("arguments", [
+    {"trials": 2**53}, {"seed": 2**128}, {"threads": 256}, {"bin_width": 10**9},
+    {"trials": 10**7, "threads": 5000}], ids=["trials", "seed", "threads", "bin_width", "both"])
+def test_run_batch_rejects_an_argument_at_its_upper_bound(model, dataset, monkeypatch,
+                                                          arguments):
+    """Each bounded argument is checked before run_batch starts a thread, allocates
+    a share matrix or draws: with all three made to fail, the error is the range's."""
+    def start(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    monkeypatch.setattr(mc, "np", None)
+    monkeypatch.setattr(mc, "trial_columns", None)
+    name = "threads" if "threads" in arguments else next(iter(arguments))
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= [01] and < "):
+        mc.run_batch(model, dataset, **{"trials": 100, "seed": 0, **arguments})
+
+
+def test_run_batch_runs_just_below_each_upper_bound(model, dataset, monkeypatch):
+    """threads = 255 over 2,048 trials, one chunk, starts no helper; the largest
+    seed and bin width run as any other."""
+    monkeypatch.setattr(threading.Thread, "start", None)
+    summary = mc.run_batch(model, dataset, trials=2048, seed=2**128 - 1, threads=255,
+                           bin_width=10**9 - 1)
+    assert summary.seed == 2**128 - 1 and summary.bin_width == 10**9 - 1
+    assert {lo for lo, _, _ in summary.diff_histogram} <= {-(10**9 - 1), 0}
+    assert summary.to_json() == mc.run_batch(model, dataset, trials=2048, seed=2**128 - 1,
+                                             bin_width=10**9 - 1).to_json()
+
+
 def test_run_batch_takes_numpy_integers(model, dataset):
     """A numpy integer counts as its value, and the summary still serializes."""
     expected = mc.run_batch(model, dataset, trials=100, seed=3, bin_width=7).to_json()
@@ -687,6 +717,14 @@ def test_histogram_rejects_bin_width_below_one(summary_20k, bin_width):
         mc.histogram(np.array([-45, -3, 0, 17]), np.ones(4, np.int64), bin_width)
     with pytest.raises(ValueError, match="bin_width must be an integer >= 1"):
         mc.summarize(summary_20k.cells, 20000, 0, summary_20k.degenerate, bin_width)
+
+
+def test_histogram_bin_width_upper_bound():
+    """Bin edges below 10**9 are exact in a JSON double: 10**9 - 1 is the largest width."""
+    values, counts = np.array([-45, 17]), np.ones(2, np.int64)
+    assert mc.histogram(values, counts, 10**9 - 1) == [[-(10**9 - 1), 0, 1], [0, 10**9 - 1, 1]]
+    with pytest.raises(ValueError, match="bin_width must be an integer >= 1 and < 1000000000"):
+        mc.histogram(values, counts, 10**9)
 
 
 def test_histogram_drops_empty_bins():

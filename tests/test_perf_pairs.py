@@ -44,3 +44,28 @@ def test_a_bad_run_is_reported(bad):
     complete = 1 if bad is None else 2
     assert first.split(";")[0].split() == ["2", "pairs,", str(complete), "complete"]
     assert wall.split()[4:6] == ["of", str(complete)]
+
+
+def _bar(line):
+    """The met and unmet metric names of a gain_bar line."""
+    met, unmet = line.split(": ", 1)[1].split("; ")
+    return met.removeprefix("met by "), unmet.removeprefix("unmet by ")
+
+
+def test_gain_bar_met():
+    """trials_per_s higher in all 10 pairs by more than the parent's IQR meets
+    the bar; a wall_s lower in 9 of 10 by that much meets it too."""
+    parent = [_result(1.0 + i / 100, 100 + i) for i in range(10)]
+    change = [_result(0.5 if i else 1.5, 200 + i) for i in range(10)]
+    line = perf_pairs.gain_bar({"parent": parent, "change": change}, METRICS)
+    assert line.startswith("  gain bar (better in >= 9 of 10 pairs, median gap > parent IQR)")
+    assert _bar(line) == ("wall_s, trials_per_s", "none")
+
+
+def test_gain_bar_unmet():
+    """Better in 8 of 10 pairs is short of 9, however wide the gap; better in
+    10 of 10 by less than the parent's IQR is short too."""
+    parent = [_result(1.0, 100 + 10 * i) for i in range(10)]
+    change = [_result(0.5 if i > 1 else 2.0, 101 + 10 * i) for i in range(10)]
+    assert _bar(perf_pairs.gain_bar({"parent": parent, "change": change}, METRICS)) == (
+        "none", "wall_s, trials_per_s")
