@@ -8,6 +8,8 @@ narrative summary instead of writing files.  Usage:
 """
 
 import argparse
+import os
+import sys
 
 from elections import fit_pca, load_bundled_dataset, run_batch, senate_sweep
 from elections.cli import _integer
@@ -70,4 +72,10 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        status = main()
+        sys.stdout.flush()   # a closed pipe fails here, not in the interpreter's exit
+    except BrokenPipeError:   # a closed pipe exits 1 silently, as the CLI does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    raise SystemExit(status)

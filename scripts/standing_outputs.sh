@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Write the standing outputs of one source tree: every simulate file at the
-# standing configurations, plus pca, scenario and report stdout.  Two trees
-# that should behave the same are compared with `diff -r` on their output dirs:
+# standing configurations, plus pca, scenario and report stdout and the stdout
+# of the tree's scripts/run_study.py.  Two trees that should behave the same
+# are compared with `diff -r` on their output dirs:
 #
 #   scripts/standing_outputs.sh OLD_TREE old_out
 #   scripts/standing_outputs.sh NEW_TREE new_out
@@ -52,3 +53,6 @@ run pca --loadings 1 > "$out/pca_loadings1.csv"
 # the last component of a 4-component model
 run pca --start-year 1992 --loadings 4 > "$out/pca_1992_loadings4.csv"
 run scenario > "$out/scenario.txt"
+# the study script, which imports from the package's top level
+PYTHONPATH="$tree/src" OPENBLAS_NUM_THREADS=1 python3 "$tree/scripts/run_study.py" --trials 2000 \
+    > "$out/run_study.txt"

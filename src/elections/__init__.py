@@ -10,39 +10,17 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var
 
-from .dataset import (
-    ElectionDataset,
-    STATE_NAMES,
-    load_bundled_dataset,
-    load_dataset,
-    two_party_share,
-)
-from .generator import SimulatedShares, draw_noise, generate_shares
-from .montecarlo import (
-    OutcomeRecord,
-    RunSummary,
-    SweepResult,
-    classify,
-    emit_figure_data,
-    run_batch,
-    senate_sweep,
-)
-from .pca import (
-    PcaModel,
-    covariance,
-    fit_pca,
-    loadings_report,
-    variance_explained,
-)
-from .tally import TallyResult, electoral_totals, pool
+# Only the names imported from the package itself (perfbench, the study script,
+# the tests' fixtures); every other name is imported from its module.
+from .dataset import load_bundled_dataset
+from .generator import draw_noise, generate_shares
+from .montecarlo import classify, run_batch, senate_sweep
+from .pca import fit_pca
+from .tally import electoral_totals
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ElectionDataset", "STATE_NAMES", "load_bundled_dataset", "load_dataset",
-    "two_party_share", "SimulatedShares",
-    "draw_noise", "generate_shares", "OutcomeRecord", "RunSummary",
-    "SweepResult", "classify", "emit_figure_data", "run_batch", "senate_sweep",
-    "PcaModel", "covariance", "fit_pca", "loadings_report",
-    "variance_explained", "TallyResult", "electoral_totals", "pool", "__version__",
+    "load_bundled_dataset", "fit_pca", "draw_noise", "generate_shares", "run_batch",
+    "classify", "electoral_totals", "senate_sweep", "__version__",
 ]

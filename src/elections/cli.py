@@ -24,7 +24,7 @@ from . import montecarlo as mc
 from . import pca as pc
 from .csvout import write_csv
 from .generator import check_integers
-from .tally import SCENARIO_SHARES, format_scenarios, scenario_totals
+from .tally import SCENARIOS, format_scenarios, scenario_totals
 
 WARN_ELECTIONS = 8
 # the signals that end a run: under run() each raises KeyboardInterrupt with itself
@@ -69,7 +69,7 @@ def _add_data_args(sub):
     sub.add_argument("--shares", help="share history CSV (default: bundled data)")
     sub.add_argument("--structure", help="turnout/elector CSV (default: bundled data)")
     sub.add_argument("--start-year", type=int, default=1964, metavar="YEAR",
-                     help="drop the elections before YEAR (default 1964)")
+                     help="drop the elections before YEAR (default %(default)s)")
 
 
 def cmd_pca(args, parser) -> int:
@@ -175,14 +175,11 @@ def cmd_simulate(args, parser) -> int:
 
 
 def cmd_scenario(args, parser) -> int:
-    results = {code: scenario_totals(shares) for code, shares in SCENARIO_SHARES.items()}
+    results = {code: scenario_totals(s.shares) for code, s in SCENARIOS.items()}
     print(format_scenarios(results))
-    expected = {"LW": (253, 247, 5, 6, 3, 2),
-                "LL": (261, 239, 3, 8, 1, 4),
-                "WL": (253, 247, 6, 5, 2, 3)}
     for code, r in results.items():
         got = (round(r[0]), round(r[1]), *r[2:])
-        status = "ok" if got == expected[code] else "MISMATCH"
+        status = "ok" if got == SCENARIOS[code].paper else "MISMATCH"
         print(f"{code}: popular {got[0]}-{got[1]}, full {got[2]}-{got[3]}, "
               f"house {got[4]}-{got[5]}  [{status}]")
         if status == "MISMATCH":
@@ -262,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_integer("seed"), default=0)
     p.add_argument("--threads", type=_integer("threads"), default=1)
     p.add_argument("--bins", type=_integer("bin_width"), default=mc.DEFAULT_BIN_WIDTH,
-                   help="electoral-difference histogram bin width (default 20)")
+                   help="electoral-difference histogram bin width (default %(default)s)")
     p.add_argument("--k-values", type=_integer("k"), nargs="+", default=mc.DEFAULT_K_VALUES,
                    help="Senate elector counts for the sweep")
     p.add_argument("--out", default="results", help="output directory")

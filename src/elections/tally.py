@@ -115,16 +115,23 @@ def electoral_totals(clamped, turnout, house_electors,
 TOY_TURNOUT = np.array([300, 100, 100])
 TOY_HOUSE = np.array([3, 1, 1])
 
-SCENARIO_SHARES = {
-    "LW": (0.53, 0.47, 0.47),
-    "LL": (0.49, 0.49, 0.65),
-    "WL": (0.49, 0.53, 0.53),
-}
 
-SCENARIO_TITLES = {
-    "LW": "unpopular with Senate electors only",
-    "LL": "unpopular under either method",
-    "WL": "unpopular with House electors only",
+class Scenario(NamedTuple):
+    """A teaching scenario: its title, A's share in each toy state and the
+    paper's totals, as scenario_totals gives them (rounded popular votes)."""
+
+    title: str
+    shares: tuple[float, float, float]
+    paper: tuple[int, int, int, int, int, int]
+
+
+SCENARIOS = {
+    "LW": Scenario("unpopular with Senate electors only",
+                   (0.53, 0.47, 0.47), (253, 247, 5, 6, 3, 2)),
+    "LL": Scenario("unpopular under either method",
+                   (0.49, 0.49, 0.65), (261, 239, 3, 8, 1, 4)),
+    "WL": Scenario("unpopular with House electors only",
+                   (0.49, 0.53, 0.53), (253, 247, 6, 5, 2, 3)),
 }
 
 
@@ -140,9 +147,9 @@ def format_scenarios(results: dict[str, tuple]) -> str:
     row = "{}{:5.0f}  {:5.0f}   {:5d}  {:5d}   {:3d}  {:3d}".format
     lines = []
     for code, totals in results.items():
-        lines.append(f"{code}, {SCENARIO_TITLES[code]}")
+        lines.append(f"{code}, {SCENARIOS[code].title}")
         lines.append("state  A%    pop A  pop B   H+S A  H+S B   H A  H B")
-        for s, share in enumerate(SCENARIO_SHARES[code]):
+        for s, share in enumerate(SCENARIOS[code].shares):
             # each row is the tally of that state alone
             state = scenario_totals([share], TOY_TURNOUT[s:s + 1], TOY_HOUSE[s:s + 1])
             lines.append(row(f"{s + 1:>5}  {share:.0%}  ", *state))

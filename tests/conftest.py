@@ -2,7 +2,8 @@ import csv
 
 import pytest
 
-from elections import STATE_NAMES, fit_pca, load_bundled_dataset, run_batch, senate_sweep
+from elections import fit_pca, load_bundled_dataset, run_batch, senate_sweep
+from elections.dataset import STATE_NAMES
 
 
 @pytest.fixture(scope="session")

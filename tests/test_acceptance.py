@@ -15,7 +15,7 @@ from elections import pca
 from elections.cli import main as cli_main
 from elections.dataset import STATE_NAMES
 from elections.generator import draw_noise_batch, generate_shares_batch
-from elections.tally import SCENARIO_SHARES, scenario_totals
+from elections.tally import SCENARIOS, scenario_totals
 
 SEED = 0
 TRIALS = 20000
@@ -45,7 +45,7 @@ def test_criterion_1_scenarios(capsys):
     expected = {"LW": (253, 247, 5, 6, 3, 2),
                 "LL": (261, 239, 3, 8, 1, 4),
                 "WL": (253, 247, 6, 5, 2, 3)}
-    results = {code: scenario_totals(shares) for code, shares in SCENARIO_SHARES.items()}
+    results = {code: scenario_totals(s.shares) for code, s in SCENARIOS.items()}
     ok = all(
         (round(r[0]), round(r[1]), *r[2:]) == expected[code]
         for code, r in results.items()

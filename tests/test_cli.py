@@ -60,6 +60,17 @@ def test_scenario_command(capsys):
     assert out == SCENARIO_STDOUT
 
 
+def test_scenario_mismatch_is_exit_1(capsys, monkeypatch):
+    """The check reads the paper's totals from the one scenario table: a total
+    that the tally does not give is a MISMATCH line, after which it stops."""
+    from elections import tally
+
+    wrong = tally.SCENARIOS["LL"]._replace(paper=(261, 239, 3, 8, 1, 5))
+    monkeypatch.setitem(tally.SCENARIOS, "LL", wrong)
+    stopped = SCENARIO_STDOUT.replace("1-4  [ok]", "1-4  [MISMATCH]").split("WL: popular")[0]
+    assert run(["scenario"], capsys) == (1, stopped, "")
+
+
 def test_pca_json(capsys):
     code, out, err = run(["pca"], capsys)
     assert code == 0
@@ -85,7 +96,8 @@ def test_pca_loadings_csv(capsys):
 def test_pca_loadings_are_csv_writers_text(capsys, start_year, components):
     """Every component's table is what csv.writer writes of the repr'd coefficients,
     on pytest's stdout and on a text-only one, which has no binary buffer."""
-    from elections import fit_pca, load_bundled_dataset, loadings_report
+    from elections import fit_pca, load_bundled_dataset
+    from elections.pca import loadings_report
 
     model = fit_pca(load_bundled_dataset().restrict_years(start_year))
     assert model.n_components == components
@@ -679,6 +691,27 @@ def test_blas_threads_default_to_one():
         out = subprocess.run([sys.executable, "-c", probe], env={**env, **user},
                              capture_output=True, text=True, check=True).stdout
         assert out.split() == want.split()
+
+
+def test_package_exports_only_what_is_imported_from_it():
+    """elections re-exports the eight names that perfbench, the study script and
+    the tests' fixtures import from the package, and nothing else: every other
+    name lives in its module alone.  The rest of what perfbench reads resolves."""
+    import inspect
+
+    import elections
+    from elections.dataset import ElectionDataset
+    from elections.montecarlo import ExactPopularTie
+    from elections.tally import TiedState
+
+    exported = {"classify", "draw_noise", "electoral_totals", "generate_shares", "run_batch",
+                "load_bundled_dataset", "fit_pca", "senate_sweep"}
+    assert set(elections.__all__) == exported | {"__version__"}
+    public = {name for name, value in vars(elections).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == exported
+    assert issubclass(ExactPopularTie, Exception) and issubclass(TiedState, Exception)
+    assert ElectionDataset.senate_electors_base == 2
 
 
 @pytest.mark.parametrize("argv", [["pca"], ["pca", "--loadings", "1"], ["scenario"]])
@@ -1315,7 +1348,8 @@ def test_house_electors_whose_int64_sum_wraps(tmp_path, save_dataset, command):
 
 def _saved_pair(save_dataset, directory, **changes):
     """Write the bundled data, with `changes` to its fields, as a CSV pair."""
-    from elections import ElectionDataset, load_bundled_dataset
+    from elections import load_bundled_dataset
+    from elections.dataset import ElectionDataset
 
     bundled = load_bundled_dataset()
     data = ElectionDataset(**{name: changes.get(name, getattr(bundled, name))
@@ -1598,3 +1632,35 @@ def test_run_study_usage_errors(argv, capsys):
         study["main"]()
     assert exc.value.code == 2
     assert f"argument {argv[0]}: {argv[0][2:]} must be an integer >= " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("when", ["at-start", "after-first-line"])
+def test_run_study_closed_pipe_is_a_silent_exit_1(when):
+    """scripts/run_study.py on a pipe that its reader closes, before it starts
+    or after the first line, exits 1 with nothing on stderr, as the CLI does."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = Path(__file__).parents[1] / "scripts" / "run_study.py"
+    # unbuffered, so the first line reaches the pipe while the run is still to come
+    argv = [sys.executable, "-u", str(script), "--trials", "200000"]
+    if when == "at-start":
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(argv, env=_child_env(), stdout=write, stderr=subprocess.PIPE,
+                                  text=True)
+        finally:
+            os.close(write)
+        status, err = done.returncode, done.stderr
+    else:
+        with subprocess.Popen(argv, env=_child_env(), stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True) as child:
+            assert child.stdout.readline().startswith("Elections 1964-2008")
+            child.stdout.close()
+            err = child.stderr.read()
+        status = child.returncode
+    assert "Traceback" not in err
+    assert (status, err) == (1, "")

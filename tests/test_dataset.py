@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from elections import dataset as ds
-from elections import load_bundled_dataset, load_dataset, two_party_share
+from elections import load_bundled_dataset
+from elections.dataset import load_dataset, two_party_share
 
 
 def test_state_roster():

@@ -14,7 +14,7 @@ from elections import montecarlo as mc
 from elections.csvout import write_csv
 from elections.dataset import HOUSE_TOTAL, N_STATES, STATE_NAMES, ElectionDataset
 from elections.generator import draw_noise, generate_shares
-from elections.tally import (DEM, FULL, HOUSE_ONLY, REP, SCENARIO_SHARES, STATES_WON, TOY_HOUSE,
+from elections.tally import (DEM, FULL, HOUSE_ONLY, REP, SCENARIOS, STATES_WON, TOY_HOUSE,
                              TOY_TURNOUT, TallyResult, electoral_totals, pool, tabulate)
 
 import reference
@@ -61,7 +61,7 @@ def run_blocks(*args, **kwargs):
 
 def test_classify_scenarios():
     for code in ("LW", "LL", "WL"):
-        rec = mc.classify(electoral_totals(SCENARIO_SHARES[code], TOY_TURNOUT, TOY_HOUSE))
+        rec = mc.classify(electoral_totals(SCENARIOS[code].shares, TOY_TURNOUT, TOY_HOUSE))
         assert rec.code == code
         assert rec.popular_winner == DEM
 

@@ -35,7 +35,7 @@ def test_popular_totals():
 
 
 def test_scenario_lw():
-    t = tally.electoral_totals(tally.SCENARIO_SHARES["LW"], TURNOUT, HOUSE)
+    t = tally.electoral_totals(tally.SCENARIOS["LW"].shares, TURNOUT, HOUSE)
     assert (round(t.dem_pop), round(t.rep_pop)) == (253, 247)
     assert t.totals(tally.FULL) == (5, 6)
     assert t.totals(tally.HOUSE_ONLY) == (3, 2)
@@ -43,7 +43,7 @@ def test_scenario_lw():
 
 
 def test_scenario_ll():
-    t = tally.electoral_totals(tally.SCENARIO_SHARES["LL"], TURNOUT, HOUSE)
+    t = tally.electoral_totals(tally.SCENARIOS["LL"].shares, TURNOUT, HOUSE)
     assert (round(t.dem_pop), round(t.rep_pop)) == (261, 239)
     assert t.totals(tally.FULL) == (3, 8)
     assert t.totals(tally.HOUSE_ONLY) == (1, 4)
@@ -51,7 +51,7 @@ def test_scenario_ll():
 
 
 def test_scenario_wl():
-    t = tally.electoral_totals(tally.SCENARIO_SHARES["WL"], TURNOUT, HOUSE)
+    t = tally.electoral_totals(tally.SCENARIOS["WL"].shares, TURNOUT, HOUSE)
     assert (round(t.dem_pop), round(t.rep_pop)) == (253, 247)
     assert t.totals(tally.FULL) == (6, 5)
     assert t.totals(tally.HOUSE_ONLY) == (2, 3)
@@ -62,7 +62,7 @@ def test_scenario_wl():
 def test_scenario_rows_are_electoral_totals(code):
     """Every per-state row of the scenario table, and its total row, holds
     the scalar tally's numbers on the same shares."""
-    shares = tally.SCENARIO_SHARES[code]
+    shares = tally.SCENARIOS[code].shares
     worlds = [([share], slice(s, s + 1)) for s, share in enumerate(shares)]
     for part, states in worlds + [(shares, slice(None))]:
         t = tally.electoral_totals(part, TURNOUT[states], HOUSE[states])
@@ -72,7 +72,7 @@ def test_scenario_rows_are_electoral_totals(code):
 
 def test_rule_equivalences():
     # D carries state 1: 3 House electors
-    t = tally.electoral_totals(tally.SCENARIO_SHARES["LW"], TURNOUT, HOUSE)
+    t = tally.electoral_totals(tally.SCENARIOS["LW"].shares, TURNOUT, HOUSE)
     assert (t.dem_house, t.dem_states, t.house_total, t.n_states) == (3, 1, 5, 3)
     assert t.totals(tally.HOUSE_ONLY) == (3, 2)
     assert t.totals(tally.FULL) == (3 + 2 * 1, 2 + 2 * 2)
@@ -81,7 +81,7 @@ def test_rule_equivalences():
 
 
 def test_rule_validation():
-    t = tally.electoral_totals(tally.SCENARIO_SHARES["LW"], TURNOUT, HOUSE)
+    t = tally.electoral_totals(tally.SCENARIOS["LW"].shares, TURNOUT, HOUSE)
     # a k of 2.5 once gave 17.5 electors, True 13 and totals(1.5) (4.5, 5.0)
     for k in (-1, np.int64(-2), 2.5, 1.5, True, np.bool_(True), np.float64(2), "2"):
         with pytest.raises(ValueError, match="k must be an integer >= 0"):
@@ -92,7 +92,7 @@ def test_rule_validation():
 
 
 def test_winner_and_exact_split():
-    t = tally.electoral_totals(tally.SCENARIO_SHARES["WL"], TURNOUT, HOUSE)
+    t = tally.electoral_totals(tally.SCENARIOS["WL"].shares, TURNOUT, HOUSE)
     assert t.totals(tally.FULL) == (6, 5)
     assert t.totals(tally.HOUSE_ONLY) == (2, 3)
     # equal split of a 4-elector toy pool has no winner
